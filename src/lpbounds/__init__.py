@@ -11,16 +11,11 @@ from .geometry import (
     Box,
     EuclideanBall,
     Heatball,
-    ModifiedHeatball,
-    DilatedRegion,
     BallSystem,
-    dilate,
     euclidean_system,
     box_system,
-    parabolic_system,
     parabolic_box_system,
     build_radius_function,
-    max_inscribed_radius,
     euclidean_shrink,
     heatball_shrink,
     system_shrink,
@@ -40,7 +35,6 @@ from .fields import (
     heat_polynomial_field,
     monomial_field,
     neg_time_field,
-    family,
     random_laplace_one,
     random_heat_one,
     random_harmonic,
@@ -48,7 +42,6 @@ from .fields import (
     laplacian_operator,
     heat_operator,
     mixed_xy_operator,
-    adjoint,
     laplacian,
     heat_op,
     neg_hessian_det,
@@ -73,6 +66,7 @@ from .averages import (
     heatball_average_fd,
     deriv2_rhs,
     modified_heatball_average,
+    heatball_unit_volume,
     AverageFamily,
     MviCheckReport,
     pmvi_constant,
@@ -91,7 +85,6 @@ from .constants import (
     k_laplace,
     k_heat,
     k_heat_value,
-    heatball_unit_volume,
     heatball_unit_volume_exact,
     heatball_unit_volume_quad,
     kappa,

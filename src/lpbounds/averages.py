@@ -22,17 +22,15 @@ import numpy as np
 
 from .geometry import (
     Box,
-    EuclideanBall,
     BallSystem,
     Heatball,
-    ModifiedHeatball,
-    RadiusFunction,
     build_radius_function,
     heatball_shrink,
     euclidean_shrink,
+    unit_ball_points,
     unit_ball_volume,
 )
-from .quadrature import QuadResult
+from .quadrature import QuadResult, mc_mean
 
 __all__ = [
     "SMAX",
@@ -43,6 +41,7 @@ __all__ = [
     "heatball_average_fd",
     "deriv2_rhs",
     "modified_heatball_average",
+    "heatball_unit_volume",
     "AverageFamily",
     "MviCheckReport",
     "pmvi_constant",
@@ -59,8 +58,6 @@ __all__ = [
 
 SMAX = 1.0 / (4.0 * math.pi)
 
-_BATCH = 65536
-
 
 def _require_box_inside(inner: Box, outer: Box | None, what: str) -> None:
     if outer is None:
@@ -75,39 +72,6 @@ def _field_fn(u):
     return u.fn if hasattr(u, "fn") else u
 
 
-def _moments(vals: np.ndarray) -> tuple[int, float, float]:
-    n = len(vals)
-    mean = float(np.mean(vals)) if n else 0.0
-    m2 = float(np.sum((vals - mean) ** 2)) if n else 0.0
-    return n, mean, m2
-
-
-def _merge(parts) -> tuple[float, float, int]:
-    n, mean, m2 = 0, 0.0, 0.0
-    for nb, mb, m2b in parts:
-        if nb == 0:
-            continue
-        delta = mb - mean
-        tot = n + nb
-        mean += delta * nb / tot
-        m2 += m2b + delta * delta * n * nb / tot
-        n = tot
-    var = m2 / (n - 1) if n > 1 else 0.0
-    return mean, math.sqrt(max(var, 0.0) / n) if n else 0.0, n
-
-
-def _batched(budget: int):
-    full, rem = divmod(budget, _BATCH)
-    return [_BATCH] * full + ([rem] if rem else [])
-
-
-def _unit_ball_points(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((count, d))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    rad = rng.random(count) ** (1.0 / d)
-    return rad[:, None] * z
-
-
 def ball_average(u, x, r: float, budget: int = 100_000,
                  seed: int = 0) -> QuadResult:
     """avg_{B_r(x)} u by direct uniform sampling of the ball."""
@@ -118,15 +82,11 @@ def ball_average(u, x, r: float, budget: int = 100_000,
     dom = getattr(u, "domain", None)
     _require_box_inside(Box(tuple(x - r), tuple(x + r)), dom, "ball")
     fn = _field_fn(u)
-    plan = _batched(budget)
-    streams = np.random.SeedSequence(seed).spawn(len(plan))
-    parts = []
-    for st, count in zip(streams, plan):
-        rng = np.random.default_rng(st)
-        pts = x + r * _unit_ball_points(d, count, rng)
-        parts.append(_moments(np.asarray(fn(pts), dtype=float)))
-    mean, se, n = _merge(parts)
-    return QuadResult(value=mean, std_error=se, samples=n, method="mc-ball")
+
+    def draw(rng, count):
+        return fn(x + r * unit_ball_points(d, count, rng))
+
+    return mc_mean(draw, budget, seed, "mc-ball")
 
 
 def ball_average_fd(u, x, r: float, h: float | None = None,
@@ -145,17 +105,14 @@ def ball_average_fd(u, x, r: float, h: float | None = None,
     dom = getattr(u, "domain", None)
     _require_box_inside(Box(tuple(x - (r + h)), tuple(x + (r + h))), dom, "ball")
     fn = _field_fn(u)
-    plan = _batched(budget)
-    streams = np.random.SeedSequence(seed).spawn(len(plan))
-    parts = []
-    for st, count in zip(streams, plan):
-        rng = np.random.default_rng(st)
-        z = _unit_ball_points(d, count, rng)
+
+    def draw(rng, count):
+        z = unit_ball_points(d, count, rng)
         hi = np.asarray(fn(x + (r + h) * z), dtype=float)
         lo = np.asarray(fn(x + (r - h) * z), dtype=float)
-        parts.append(_moments((hi - lo) / (2.0 * h)))
-    mean, se, n = _merge(parts)
-    return QuadResult(value=mean, std_error=se, samples=n, method="mc-ball-fd")
+        return (hi - lo) / (2.0 * h)
+
+    return mc_mean(draw, budget, seed, "mc-ball-fd")
 
 
 def deriv1_rhs(u, x, r: float, budget: int = 100_000,
@@ -172,18 +129,14 @@ def deriv1_rhs(u, x, r: float, budget: int = 100_000,
     _require_box_inside(Box(tuple(x - r), tuple(x + r)), dom, "ball")
     if getattr(u, "hess_fn", None) is None:
         raise ValueError("field must carry an exact Hessian")
-    plan = _batched(budget)
-    streams = np.random.SeedSequence(seed).spawn(len(plan))
-    parts = []
-    for st, count in zip(streams, plan):
-        rng = np.random.default_rng(st)
-        z = _unit_ball_points(d, count, rng)
-        pts = x + r * z
-        lap = np.trace(u.hess_fn(pts), axis1=1, axis2=2)
+
+    def draw(rng, count):
+        z = unit_ball_points(d, count, rng)
+        lap = np.trace(u.hess_fn(x + r * z), axis1=1, axis2=2)
         weight = r * (1.0 - np.sum(z * z, axis=1)) / 2.0
-        parts.append(_moments(weight * lap))
-    mean, se, n = _merge(parts)
-    return QuadResult(value=mean, std_error=se, samples=n, method="mc-ball")
+        return weight * lap
+
+    return mc_mean(draw, budget, seed, "mc-ball")
 
 
 def _slice_samples(n: int, kernel_dim: int, count: int,
@@ -198,19 +151,26 @@ def _slice_samples(n: int, kernel_dim: int, count: int,
     s = SMAX * uu * uu
     bigl = -2.0 * np.log(uu)
     rho = np.sqrt(2.0 * kernel_dim * s * bigl)
-    y = rho[:, None] * _unit_ball_points(n, count, rng)
+    y = rho[:, None] * unit_ball_points(n, count, rng)
     w = unit_ball_volume(n) * rho**n * 2.0 * np.sqrt(SMAX * s)
     return y, s, w
 
 
-def _check_heatball_domain(u, center, r: float, m: int | None) -> None:
+def _heatball_points(center: np.ndarray, r: float, y: np.ndarray,
+                     s: np.ndarray) -> np.ndarray:
+    """Spacetime points (center_x - r y, center_t - r^2 s) of unit (y, s)."""
+    n = len(center) - 1
+    pts = np.empty((len(s), n + 1))
+    pts[:, :n] = center[:n] - r * y
+    pts[:, n] = center[n] - r * r * s
+    return pts
+
+
+def _check_heatball_domain(u, center, r: float, m: int) -> None:
     dom = getattr(u, "domain", None)
     if dom is None:
         return
-    if m is None:
-        hb = Heatball(tuple(center), r)
-    else:
-        hb = ModifiedHeatball(tuple(center), r, m)
+    hb = Heatball(tuple(center), r, m)
     _require_box_inside(hb.bounding_box(), dom, "heat ball")
 
 
@@ -225,22 +185,16 @@ def heatball_average(u, center, r: float, budget: int = 100_000,
     n = len(center) - 1
     if r <= 0:
         raise ValueError("radius must be positive")
-    _check_heatball_domain(u, center, r, None)
+    _check_heatball_domain(u, center, r, 0)
     fn = _field_fn(u)
-    plan = _batched(budget)
-    streams = np.random.SeedSequence(seed).spawn(len(plan))
-    parts = []
-    for st, count in zip(streams, plan):
-        rng = np.random.default_rng(st)
+
+    def draw(rng, count):
         y, s, w = _slice_samples(n, n, count, rng)
-        pts = np.empty((count, n + 1))
-        pts[:, :n] = center[:n] - r * y
-        pts[:, n] = center[n] - r * r * s
+        pts = _heatball_points(center, r, y, s)
         kern = np.sum(y * y, axis=1) / (s * s)
-        vals = 0.25 * np.asarray(fn(pts), dtype=float) * kern * w
-        parts.append(_moments(vals))
-    mean, se, nn = _merge(parts)
-    return QuadResult(value=mean, std_error=se, samples=nn, method="mc-slice-importance")
+        return 0.25 * np.asarray(fn(pts), dtype=float) * kern * w
+
+    return mc_mean(draw, budget, seed, "mc-slice-importance")
 
 
 def heatball_average_fd(u, center, r: float, h: float | None = None,
@@ -255,27 +209,20 @@ def heatball_average_fd(u, center, r: float, h: float | None = None,
         h = 1e-3 * r
     if not 0 < h < r:
         raise ValueError("need 0 < h < r")
-    _check_heatball_domain(u, center, r + h, None)
+    _check_heatball_domain(u, center, r + h, 0)
     fn = _field_fn(u)
-    plan = _batched(budget)
-    streams = np.random.SeedSequence(seed).spawn(len(plan))
-    parts = []
-    for st, count in zip(streams, plan):
-        rng = np.random.default_rng(st)
+
+    def draw(rng, count):
         y, s, w = _slice_samples(n, n, count, rng)
         kern = np.sum(y * y, axis=1) / (s * s)
-        vals = None
-        for sign in (1.0, -1.0):
-            rr = r + sign * h
-            pts = np.empty((count, n + 1))
-            pts[:, :n] = center[:n] - rr * y
-            pts[:, n] = center[n] - rr * rr * s
-            term = 0.25 * np.asarray(fn(pts), dtype=float) * kern * w
-            vals = term if vals is None else vals - term
-        parts.append(_moments(vals / (2.0 * h)))
-    mean, se, nn = _merge(parts)
-    return QuadResult(value=mean, std_error=se, samples=nn,
-                      method="mc-slice-importance-fd")
+
+        def term(rr):
+            pts = _heatball_points(center, rr, y, s)
+            return 0.25 * np.asarray(fn(pts), dtype=float) * kern * w
+
+        return (term(r + h) - term(r - h)) / (2.0 * h)
+
+    return mc_mean(draw, budget, seed, "mc-slice-importance-fd")
 
 
 def deriv2_rhs(u, center, r: float, budget: int = 100_000,
@@ -289,27 +236,21 @@ def deriv2_rhs(u, center, r: float, budget: int = 100_000,
     n = len(center) - 1
     if r <= 0:
         raise ValueError("radius must be positive")
-    _check_heatball_domain(u, center, r, None)
+    _check_heatball_domain(u, center, r, 0)
     if getattr(u, "hess_fn", None) is None or getattr(u, "grad_fn", None) is None:
         raise ValueError("field must carry exact derivatives")
-    plan = _batched(budget)
-    streams = np.random.SeedSequence(seed).spawn(len(plan))
-    parts = []
-    for st, count in zip(streams, plan):
-        rng = np.random.default_rng(st)
+
+    def draw(rng, count):
         y, s, w = _slice_samples(n, n, count, rng)
-        pts = np.empty((count, n + 1))
-        pts[:, :n] = center[:n] - r * y
-        pts[:, n] = center[n] - r * r * s
+        pts = _heatball_points(center, r, y, s)
         hess = u.hess_fn(pts)
         grad = u.grad_fn(pts)
         hu = np.trace(hess[:, :n, :n], axis1=1, axis2=2) - grad[:, n]
         psi = (-0.5 * n * np.log(4.0 * math.pi * s)
                - np.sum(y * y, axis=1) / (4.0 * s))
-        parts.append(_moments(n * r * hu * psi * w))
-    mean, se, nn = _merge(parts)
-    return QuadResult(value=mean, std_error=se, samples=nn,
-                      method="mc-slice-importance")
+        return n * r * hu * psi * w
+
+    return mc_mean(draw, budget, seed, "mc-slice-importance")
 
 
 def modified_heatball_average(u, center, r: float, m: int,
@@ -329,21 +270,22 @@ def modified_heatball_average(u, center, r: float, m: int,
         raise ValueError("m must be at least 3")
     _check_heatball_domain(u, center, r, m)
     fn = _field_fn(u)
-    plan = _batched(budget)
-    streams = np.random.SeedSequence(seed).spawn(len(plan))
-    parts = []
-    for st, count in zip(streams, plan):
-        rng = np.random.default_rng(st)
+
+    def draw(rng, count):
         y, s, w = _slice_samples(n, m + n, count, rng)
-        pts = np.empty((count, n + 1))
-        pts[:, :n] = center[:n] - r * y
-        pts[:, n] = center[n] - r * r * s
-        k = kappa(m, n, y, s)
-        vals = np.asarray(fn(pts), dtype=float) * k * w
-        parts.append(_moments(vals))
-    mean, se, nn = _merge(parts)
-    return QuadResult(value=mean, std_error=se, samples=nn,
-                      method="mc-slice-importance")
+        pts = _heatball_points(center, r, y, s)
+        return np.asarray(fn(pts), dtype=float) * kappa(m, n, y, s) * w
+
+    return mc_mean(draw, budget, seed, "mc-slice-importance")
+
+
+def heatball_unit_volume(n: int, budget: int = 200_000,
+                         seed: int = 0) -> QuadResult:
+    """Monte Carlo |E(1)| in slice coordinates (importance sampler weight)."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return mc_mean(lambda rng, count: _slice_samples(n, n, count, rng)[2],
+                   budget, seed, "mc-slice-importance")
 
 
 @dataclass
@@ -622,20 +564,13 @@ def check_modified_heatball_mvi(u_plus, m: int, center, R: float,
 def _modified_integral(values, center, r: float, m: int, n: int,
                        budget: int, seed: int) -> QuadResult:
     """int_{E_m(center; r)} values(y, s) dy ds via the slice sampler."""
-    plan = _batched(budget)
-    streams = np.random.SeedSequence(seed).spawn(len(plan))
-    parts = []
     scale = r ** (n + 2)
-    for st, count in zip(streams, plan):
-        rng = np.random.default_rng(st)
+
+    def draw(rng, count):
         y, s, w = _slice_samples(n, m + n, count, rng)
-        pts = np.empty((count, n + 1))
-        pts[:, :n] = center[:n] - r * y
-        pts[:, n] = center[n] - r * r * s
-        parts.append(_moments(scale * values(pts) * w))
-    mean, se, nn = _merge(parts)
-    return QuadResult(value=mean, std_error=se, samples=nn,
-                      method="mc-slice-importance")
+        return scale * values(_heatball_points(center, r, y, s)) * w
+
+    return mc_mean(draw, budget, seed, "mc-slice-importance")
 
 
 def dense_box_sup(u, box: Box, interior: int = 128,

@@ -18,23 +18,22 @@ from scipy.integrate import quad as _quad
 from .geometry import (
     Box,
     EuclideanBall,
-    BallSystem,
     euclidean_system,
     parabolic_box_system,
     euclidean_shrink,
     heatball_shrink,
     system_shrink,
     unit_ball_volume,
+    _sup_bisect,
 )
-from .quadrature import QuadResult, integrate, measure
-from .averages import SMAX, _slice_samples, _moments, _merge, _batched, pmvi_constant
+from .quadrature import integrate, measure
+from .averages import SMAX, heatball_unit_volume, pmvi_constant
 
 __all__ = [
     "ConstantReport",
     "k_laplace",
     "k_heat_value",
     "k_heat",
-    "heatball_unit_volume",
     "heatball_unit_volume_exact",
     "heatball_unit_volume_quad",
     "kappa",
@@ -100,23 +99,6 @@ def heatball_unit_volume_quad(n: int, kernel_dim: int | None = None) -> float:
 
     val, _ = _quad(slice_vol, 0.0, SMAX, limit=200)
     return val
-
-
-def heatball_unit_volume(n: int, budget: int = 200_000,
-                         seed: int = 0) -> QuadResult:
-    """Monte Carlo |E(1)| in slice coordinates (importance sampler weight)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    plan = _batched(budget)
-    streams = np.random.SeedSequence(seed).spawn(len(plan))
-    parts = []
-    for st, count in zip(streams, plan):
-        rng = np.random.default_rng(st)
-        _, _, w = _slice_samples(n, n, count, rng)
-        parts.append(_moments(w))
-    mean, se, nn = _merge(parts)
-    return QuadResult(value=mean, std_error=se, samples=nn,
-                      method="mc-slice-importance")
 
 
 def k_heat_value(n: int) -> float:
@@ -284,23 +266,6 @@ def adjoint_constant(D, domain: Box, bump, budget: int = 100_000,
                 "numerator_mc": num_mc, "sup_adjoint": den})
 
 
-def _sup_admissible(predicate, hi_start: float = 1.0) -> float:
-    """sup{R > 0 : predicate(R)} by doubling then 60-step bisection."""
-    hi = hi_start
-    grew = 0
-    while predicate(hi) and grew < 64:
-        hi *= 2.0
-        grew += 1
-    lo = 0.0
-    for _ in range(60):
-        mid = (lo + hi) / 2.0
-        if predicate(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def assemble_cp_laplace(n: int, omega: Box, p: float, budget: int = 100_000,
                         seed: int = 0, R1: float | None = None,
                         R2: float | None = None) -> ConstantReport:
@@ -317,8 +282,8 @@ def assemble_cp_laplace(n: int, omega: Box, p: float, budget: int = 100_000,
         raise ValueError("domain dimension must equal n")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
-    rho = _sup_admissible(lambda R: euclidean_shrink(omega, R) is not None,
-                          hi_start=float(np.min(omega.halfwidths())))
+    rho = _sup_bisect(lambda R: euclidean_shrink(omega, R) is not None,
+                      hi=float(np.min(omega.halfwidths())))
     if R1 is None:
         R1 = rho / 4.0
     if R2 is None:
@@ -367,13 +332,13 @@ def assemble_cp_heat(n: int, m: int, omega: Box, p: float,
     if m < 3:
         raise ValueError("m must be at least 3")
     sys = parabolic_box_system(m, n)
-    rho = _sup_admissible(lambda R: system_shrink(omega, sys, R) is not None)
+    rho = _sup_bisect(lambda R: system_shrink(omega, sys, R) is not None)
     if R1 is None:
         R1 = rho / 4.0
     s1 = system_shrink(omega, sys, R1)
     if s1 is None:
         raise ValueError("domain too small for the chosen R1")
-    sigma = _sup_admissible(lambda R: heatball_shrink(s1, R, n) is not None)
+    sigma = _sup_bisect(lambda R: heatball_shrink(s1, R, n) is not None)
     if R2 is None:
         R2 = sigma / 2.0
     kn = k_heat_value(n)

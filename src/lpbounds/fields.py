@@ -28,7 +28,6 @@ __all__ = [
     "heat_polynomial_field",
     "monomial_field",
     "neg_time_field",
-    "family",
     "random_laplace_one",
     "random_heat_one",
     "random_harmonic",
@@ -37,7 +36,6 @@ __all__ = [
     "laplacian_operator",
     "heat_operator",
     "mixed_xy_operator",
-    "adjoint",
     "laplacian",
     "heat_op",
     "neg_hessian_det",
@@ -422,24 +420,6 @@ def neg_time_field(n: int, domain: Box | None = None) -> ScalarField:
     return polynomial_field(coeffs, dim=n + 1, domain=domain, name="neg-time")
 
 
-def family(name: str, **params) -> ScalarField:
-    """Named field constructor used by the CLI and the suites."""
-    table = {
-        "quadratic": quadratic_field,
-        "polynomial": polynomial_field,
-        "harmonic": harmonic_polynomial_field,
-        "ccw_hessian": lambda N, **kw: ccw_hessian_field(N, **kw),
-        "bump": lambda center, radius: bump_function(center, radius),
-        "heat_kernel": heat_kernel_field,
-        "caloric": heat_polynomial_field,
-        "monomial": lambda k, **kw: monomial_field(k, **kw),
-        "neg_time": neg_time_field,
-    }
-    if name not in table:
-        raise ValueError(f"unknown field family {name!r}")
-    return table[name](**params)
-
-
 def random_laplace_one(seed: int, domain: Box | None = None) -> ScalarField:
     """Random C^2 field on the plane with Laplacian identically 1.
 
@@ -610,10 +590,6 @@ def heat_operator(n: int) -> LinearOperator:
 def mixed_xy_operator() -> LinearOperator:
     """D = d^2/dxdy on the plane."""
     return LinearOperator(2, (((1, 1), 1.0),), name="dxdy")
-
-
-def adjoint(D: LinearOperator) -> LinearOperator:
-    return D.adjoint()
 
 
 def laplacian(f: ScalarField, p):

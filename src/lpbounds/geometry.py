@@ -1,10 +1,9 @@
-"""Integration regions, anisotropic dilations, and radius functions.
+"""Integration regions, ball systems, and radius functions.
 
 Every region exposes a vectorized membership test plus an axis-aligned
 bounding box; all Monte Carlo quadrature is built on that pair.  Exact
 volumes are provided only where a closed form is elementary (boxes,
-Euclidean balls, dilates of regions with known volume); heat balls get
-theirs from quadrature elsewhere.
+Euclidean balls); heat balls get theirs from quadrature elsewhere.
 
 Conventions: spacetime points are ordered (x_1, ..., x_n, t) with time
 last.  A heat ball of radius r centered at (x, t) is the superlevel set
@@ -24,23 +23,17 @@ __all__ = [
     "Box",
     "EuclideanBall",
     "Heatball",
-    "ModifiedHeatball",
-    "DilatedRegion",
     "BallSystem",
     "RadiusFunction",
     "unit_ball_volume",
-    "dilate",
+    "unit_ball_points",
     "euclidean_system",
-    "parabolic_system",
     "parabolic_box_system",
     "box_system",
     "build_radius_function",
-    "max_inscribed_radius",
     "euclidean_shrink",
     "heatball_shrink",
     "system_shrink",
-    "heatball_contains",
-    "heatball_bounding_box",
     "region_to_dict",
     "region_from_dict",
 ]
@@ -51,6 +44,20 @@ def unit_ball_volume(d: int) -> float:
     if d < 0:
         raise ValueError("dimension must be nonnegative")
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+
+
+def unit_ball_points(d: int, count: int, rng: np.random.Generator,
+                     scale: float = 1.0) -> np.ndarray:
+    """count uniform points of the open unit ball in R^d times scale.
+
+    Shape (count, d).  The scale multiplies the radial factor before the
+    direction, so a scaled draw is bit-identical to drawing the ball of
+    that radius directly.
+    """
+    z = rng.standard_normal((count, d))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    rad = rng.random(count) ** (1.0 / d)
+    return scale * rad[:, None] * z
 
 
 def _as_points(p, dim: int) -> tuple[np.ndarray, bool]:
@@ -147,11 +154,8 @@ class EuclideanBall:
         return Box(tuple(c - self.radius), tuple(c + self.radius))
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        d = self.dim
-        z = rng.standard_normal((count, d))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        u = rng.random(count) ** (1.0 / d)
-        return np.asarray(self.center) + self.radius * u[:, None] * z
+        return np.asarray(self.center) + unit_ball_points(self.dim, count, rng,
+                                                          self.radius)
 
 
 def _slice_width_sq(tau: np.ndarray, r: float, d: int) -> np.ndarray:
@@ -161,16 +165,20 @@ def _slice_width_sq(tau: np.ndarray, r: float, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Heatball:
-    """Heat ball E(x, t; r): past superlevel set of the heat kernel.
+    """Heat ball E_m(x, t; r): past superlevel set of a heat kernel.
 
-    center = (x_1, ..., x_n, t), n = spatial dimension.  Membership is
-    strict in the spatial inequality; the center point itself is a member.
-    Volume is r^{n+2} times the unit volume, which has no elementary closed
-    form and is computed in the constants module.
+    center = (x_1, ..., x_n, t), n = spatial dimension.  m = 0 is the plain
+    heat ball of R^n; m > 0 is the modified heat ball, the heat ball of
+    R^{m+n} at (y, 0_m) projected to n spatial variables, whose slices use
+    the kernel dimension m + n.  Membership is strict in the spatial
+    inequality; the center point itself is a member.  Volume is r^{n+2}
+    times the unit volume, which has no elementary closed form and is
+    computed by quadrature.
     """
 
     center: tuple[float, ...]
     radius: float
+    m: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(v) for v in self.center))
@@ -179,68 +187,8 @@ class Heatball:
             raise ValueError("heat ball needs at least one spatial axis plus time")
         if self.radius <= 0:
             raise ValueError("radius must be positive")
-
-    @property
-    def dim(self) -> int:
-        return len(self.center)
-
-    @property
-    def spatial_dim(self) -> int:
-        return len(self.center) - 1
-
-    @property
-    def measure(self):
-        return None
-
-    @property
-    def depth(self) -> float:
-        """Temporal extent r^2 / (4 pi)."""
-        return self.radius**2 / (4.0 * math.pi)
-
-    def contains(self, p):
-        pts, single = _as_points(p, self.dim)
-        n = self.spatial_dim
-        x = np.asarray(self.center[:n])
-        t = self.center[-1]
-        tau = t - pts[:, -1]
-        out = np.zeros(len(pts), dtype=bool)
-        ok = (tau > 0) & (tau <= self.depth)
-        if np.any(ok):
-            d2 = np.sum((pts[ok, :n] - x) ** 2, axis=1)
-            out[ok] = d2 < _slice_width_sq(tau[ok], self.radius, n)
-        out |= np.all(pts == np.asarray(self.center), axis=1)
-        return _scalar_or_array(out, single)
-
-    def bounding_box(self) -> Box:
-        n = self.spatial_dim
-        w = self.radius * math.sqrt(n / (2.0 * math.pi * math.e))
-        lo = [c - w for c in self.center[:n]] + [self.center[-1] - self.depth]
-        hi = [c + w for c in self.center[:n]] + [self.center[-1]]
-        return Box(tuple(lo), tuple(hi))
-
-
-@dataclass(frozen=True)
-class ModifiedHeatball:
-    """Heat ball of an m-augmented kernel projected to n spatial variables.
-
-    E_m(x, t; r) uses the heat kernel of R^{m+n} evaluated at (y, 0_m):
-    slices have squared radius 2 (m+n) tau log(r^2 / (4 pi tau)).  Points
-    are (y_1, ..., y_n, s) as for Heatball.
-    """
-
-    center: tuple[float, ...]
-    radius: float
-    m: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", tuple(float(v) for v in self.center))
-        object.__setattr__(self, "radius", float(self.radius))
-        if len(self.center) < 2:
-            raise ValueError("needs at least one spatial axis plus time")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        if self.m < 1:
-            raise ValueError("m must be a positive integer")
+        if self.m < 0:
+            raise ValueError("m must be a nonnegative integer")
 
     @property
     def dim(self) -> int:
@@ -260,6 +208,7 @@ class ModifiedHeatball:
 
     @property
     def depth(self) -> float:
+        """Temporal extent r^2 / (4 pi)."""
         return self.radius**2 / (4.0 * math.pi)
 
     def contains(self, p):
@@ -284,84 +233,16 @@ class ModifiedHeatball:
         return Box(tuple(lo), tuple(hi))
 
 
-def heatball_contains(hb, p) -> bool:
-    """Membership test for a single point in a (modified) heat ball."""
-    return bool(hb.contains(p))
-
-
-def heatball_bounding_box(hb) -> Box:
-    return hb.bounding_box()
-
-
-@dataclass(frozen=True)
-class DilatedRegion:
-    """Anisotropic dilate a + r^lambda . U of a unit region U.
-
-    Axis i is scaled by r^{lambda_i}; volume scales by r^{sum lambda}.
-    """
-
-    unit: object
-    center: tuple[float, ...]
-    r: float
-    lambdas: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", tuple(float(v) for v in self.center))
-        object.__setattr__(self, "r", float(self.r))
-        object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
-        if self.r <= 0:
-            raise ValueError("dilation factor must be positive")
-        if len(self.center) != self.unit.dim or len(self.lambdas) != self.unit.dim:
-            raise ValueError("center/lambdas dimension mismatch with unit region")
-
-    @property
-    def dim(self) -> int:
-        return self.unit.dim
-
-    @property
-    def degree(self) -> float:
-        return float(sum(self.lambdas))
-
-    def _scales(self) -> np.ndarray:
-        return self.r ** np.asarray(self.lambdas)
-
-    @property
-    def measure(self):
-        base = self.unit.measure
-        if base is None:
-            return None
-        return base * self.r**self.degree
-
-    def contains(self, p):
-        pts, single = _as_points(p, self.dim)
-        y = (pts - np.asarray(self.center)) / self._scales()
-        out = self.unit.contains(y)
-        out = np.atleast_1d(out)
-        return _scalar_or_array(out, single)
-
-    def bounding_box(self) -> Box:
-        bb = self.unit.bounding_box()
-        s = self._scales()
-        c = np.asarray(self.center)
-        return Box(tuple(c + s * np.asarray(bb.lo)), tuple(c + s * np.asarray(bb.hi)))
-
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        y = self.unit.sample(count, rng)
-        return np.asarray(self.center) + self._scales() * y
-
-
 @dataclass(frozen=True)
 class BallSystem:
     """A family of anisotropic balls B_r(a) = a + r^lambda . U.
 
     degree = sum of the scaling exponents; it is the volume-scaling power
-    of the family.  center_on_boundary marks families (heat balls) whose
-    center sits on the boundary of its own ball.
+    of the family.
     """
 
     unit_ball: object
     lambdas: tuple[float, ...]
-    center_on_boundary: bool = False
     name: str = ""
 
     def __post_init__(self):
@@ -383,17 +264,6 @@ class BallSystem:
     def unit_volume(self):
         return self.unit_ball.measure
 
-    def ball(self, a, r: float):
-        return dilate(self, a, r)
-
-
-def dilate(sys: BallSystem, a, r: float):
-    """The system ball B_r(a)."""
-    a = tuple(float(v) for v in np.atleast_1d(np.asarray(a, dtype=float)))
-    if r == 1.0 and all(v == 0.0 for v in a):
-        return sys.unit_ball
-    return DilatedRegion(sys.unit_ball, a, float(r), sys.lambdas)
-
 
 def euclidean_system(d: int) -> BallSystem:
     """Standard Euclidean balls in R^d (lambda = 1, degree d)."""
@@ -405,13 +275,6 @@ def box_system(halfwidths, lambdas, name: str = "box") -> BallSystem:
     return BallSystem(
         Box(tuple(-v for v in hw), hw), tuple(lambdas), name=name
     )
-
-
-def parabolic_system(n: int) -> BallSystem:
-    """Heat balls E(x, t; r) as a ball system (lambda = (1,..,1,2), degree n+2)."""
-    unit = Heatball((0.0,) * (n + 1), 1.0)
-    return BallSystem(unit, (1.0,) * n + (2.0,), center_on_boundary=True,
-                      name=f"heat-{n}")
 
 
 def parabolic_box_system(m: int, n: int) -> BallSystem:
@@ -451,13 +314,33 @@ def _cube_probes(d: int) -> np.ndarray:
     return np.unique(np.vstack(pts), axis=0)
 
 
+def _sup_bisect(predicate, hi: float = 1.0) -> float:
+    """sup{r > 0 : predicate(r)} for a predicate true below the sup.
+
+    Doubles hi (at most 64 times) while the predicate holds, then bisects
+    [0, hi] 60 times; returns the last r known to hold, 0.0 if none does.
+    """
+    grew = 0
+    while predicate(hi) and grew < 64:
+        hi *= 2.0
+        grew += 1
+    lo = 0.0
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        if predicate(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 @dataclass
 class RadiusFunction:
     """R(a) = sup{r : B~_r(a) subset domain} / divisor.
 
     B~_r(a) is the candidate box a + r^lambda . B~ where B~ is the smallest
     origin-symmetric axis-aligned box containing the domain.  The sup is
-    found by doubling-then-bisection (60 iterations); containment is exact
+    found by doubling-then-bisection (_sup_bisect); containment is exact
     for Box and EuclideanBall domains and probe-based otherwise.
 
     The divisor (4 in general, 2 when every exponent is >= 1) makes the
@@ -469,7 +352,6 @@ class RadiusFunction:
     domain: object
     divisor: float
     halfwidths: tuple[float, ...] = field(default=())
-    iterations: int = 60
 
     def __post_init__(self):
         if not self.halfwidths:
@@ -507,19 +389,7 @@ class RadiusFunction:
         a = np.asarray(a, dtype=float)
         if not self.domain.contains(a):
             raise ValueError("center must lie in the domain")
-        hi = 1.0
-        grew = 0
-        while self._fits(a, hi) and grew < 64:
-            hi *= 2.0
-            grew += 1
-        lo = 0.0
-        for _ in range(self.iterations):
-            mid = (lo + hi) / 2.0
-            if self._fits(a, mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        return _sup_bisect(lambda r: self._fits(a, r))
 
     def __call__(self, a) -> float:
         return self.sup_radius(a) / self.divisor
@@ -533,56 +403,6 @@ def build_radius_function(sys: BallSystem, domain) -> RadiusFunction:
     """
     divisor = 2.0 if all(v >= 1.0 for v in sys.lambdas) else 4.0
     return RadiusFunction(system=sys, domain=domain, divisor=divisor)
-
-
-def max_inscribed_radius(sys: BallSystem, domain, a) -> float:
-    """sup{r : closure of the system ball B_r(a) lies in the domain}.
-
-    Closed forms for the cases used by the checkers; falls back to
-    bisection on bounding-box containment (conservative) otherwise.
-    """
-    a = np.asarray(a, dtype=float)
-    if not domain.contains(a):
-        raise ValueError("center must lie in the domain")
-    unit = sys.unit_ball
-    lam = np.asarray(sys.lambdas)
-    if isinstance(unit, EuclideanBall) and np.all(lam == 1.0):
-        if isinstance(domain, Box):
-            m = np.minimum(a - np.asarray(domain.lo), np.asarray(domain.hi) - a)
-            return float(np.min(m) / unit.radius)
-        if isinstance(domain, EuclideanBall):
-            gap = domain.radius - np.linalg.norm(a - np.asarray(domain.center))
-            return float(gap / unit.radius)
-    if isinstance(unit, Box) and isinstance(domain, Box):
-        hw = unit.halfwidths()
-        m = np.minimum(a - np.asarray(domain.lo), np.asarray(domain.hi) - a)
-        return float(np.min((m / hw) ** (1.0 / lam)))
-    if isinstance(unit, Heatball) and isinstance(domain, Box):
-        n = unit.spatial_dim
-        wcoef = math.sqrt(n / (2.0 * math.pi * math.e))
-        m = np.minimum(a[:n] - np.asarray(domain.lo[:n]),
-                       np.asarray(domain.hi[:n]) - a[:n])
-        r_space = float(np.min(m)) / wcoef
-        r_time = math.sqrt(4.0 * math.pi * (a[-1] - domain.lo[-1]))
-        return min(r_space, r_time)
-    lo, hi = 0.0, 1.0
-    grew = 0
-
-    def fits(r: float) -> bool:
-        bb = sys.ball(tuple(a), r).bounding_box()
-        pts = np.array([bb.lo, bb.hi])
-        return bool(np.all(domain.contains(pts)))
-
-    while fits(hi) and grew < 64:
-        hi *= 2.0
-        grew += 1
-    for _ in range(60):
-        mid = (lo + hi) / 2.0
-        if fits(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def euclidean_shrink(box: Box, r: float) -> Box | None:
@@ -636,16 +456,12 @@ def region_to_dict(region) -> dict:
     if isinstance(region, EuclideanBall):
         return {"kind": "ball", "center": list(region.center),
                 "radius": region.radius}
-    if isinstance(region, ModifiedHeatball):
+    if isinstance(region, Heatball) and region.m > 0:
         return {"kind": "modified-heatball", "center": list(region.center),
                 "radius": region.radius, "m": region.m}
     if isinstance(region, Heatball):
         return {"kind": "heatball", "center": list(region.center),
                 "radius": region.radius}
-    if isinstance(region, DilatedRegion):
-        return {"kind": "dilate", "unit": region_to_dict(region.unit),
-                "center": list(region.center), "r": region.r,
-                "lambdas": list(region.lambdas)}
     raise TypeError(f"cannot serialize region of type {type(region).__name__}")
 
 
@@ -658,8 +474,5 @@ def region_from_dict(data: dict):
     if kind == "heatball":
         return Heatball(tuple(data["center"]), data["radius"])
     if kind == "modified-heatball":
-        return ModifiedHeatball(tuple(data["center"]), data["radius"], data["m"])
-    if kind == "dilate":
-        return DilatedRegion(region_from_dict(data["unit"]), tuple(data["center"]),
-                             data["r"], tuple(data["lambdas"]))
+        return Heatball(tuple(data["center"]), data["radius"], data["m"])
     raise ValueError(f"unknown region kind {kind!r}")

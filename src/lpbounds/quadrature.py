@@ -1,10 +1,10 @@
 """Monte Carlo and product-Gauss quadrature over membership-defined regions.
 
-All Monte Carlo runs draw uniform points in the region's bounding box and
-reject by membership.  Draws are split into fixed-size batches, each with
-its own SeedSequence substream, and batch statistics are merged in batch
-order, so results are identical for a given (seed, budget) regardless of
-thread count.
+mc_mean is the one Monte Carlo engine of the package: draws are split into
+fixed-size batches, each with its own SeedSequence substream, and batch
+statistics are merged in batch order, so results are identical for a given
+(seed, budget) regardless of thread count.  integrate and measure run it on
+uniform draws in the region's bounding box, rejected by membership.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ __all__ = [
     "QuadResult",
     "PMeanReport",
     "EmptyRegionError",
+    "mc_mean",
     "integrate",
     "measure",
     "pmean",
@@ -89,6 +90,56 @@ def _moments(vals: np.ndarray) -> tuple[int, float, float]:
     return n, mean, m2
 
 
+def mc_mean(draw, budget: int, seed: int, method: str,
+            threads: int = 1) -> QuadResult:
+    """Seeded Monte Carlo mean of per-sample values.
+
+    draw(rng, count) returns the values of one batch of count samples.
+    Each batch draws from its own SeedSequence substream and batch moments
+    are merged in batch order, so the result depends on (seed, budget)
+    only, never on threads.
+    """
+    plan = _batch_plan(budget)
+    streams = np.random.SeedSequence(seed).spawn(len(plan))
+
+    def run_batch(i: int) -> tuple[int, float, float]:
+        rng = np.random.default_rng(streams[i])
+        return _moments(np.asarray(draw(rng, plan[i]), dtype=float))
+
+    if threads > 1 and len(plan) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(run_batch, range(len(plan))))
+    else:
+        parts = [run_batch(i) for i in range(len(plan))]
+    n, mean, m2 = _merge_stats(parts)
+    var = m2 / (n - 1) if n > 1 else 0.0
+    se = math.sqrt(max(var, 0.0) / n)
+    return QuadResult(value=mean, std_error=se, samples=n, method=method)
+
+
+def _box_rejection_mean(region, values, budget: int, seed: int,
+                        threads: int) -> QuadResult:
+    """Mean over the region's bounding box of |box| values(p) at members,
+    0 elsewhere.  Raises EmptyRegionError if no draw is accepted."""
+    box = region.bounding_box()
+    boxvol = box.measure
+    hits = []
+
+    def draw(rng: np.random.Generator, count: int) -> np.ndarray:
+        pts = box.sample(count, rng)
+        member = np.atleast_1d(region.contains(pts))
+        vals = np.zeros(count)
+        if np.any(member):
+            hits.append(True)
+            vals[member] = values(pts[member])
+        return vals * boxvol
+
+    res = mc_mean(draw, budget, seed, "mc-rejection", threads)
+    if not hits:
+        raise EmptyRegionError("no sample landed in the region")
+    return res
+
+
 def integrate(f, region, budget: int = 100_000, seed: int = 0,
               threads: int = 1) -> QuadResult:
     """Rejection Monte Carlo integral of f over the region.
@@ -96,36 +147,10 @@ def integrate(f, region, budget: int = 100_000, seed: int = 0,
     f is a vectorized callable (N, d) -> (N,); it is evaluated only at
     accepted points.  Raises EmptyRegionError if no draw is accepted.
     """
-    box = region.bounding_box()
-    boxvol = box.measure
-    plan = _batch_plan(budget)
-    streams = np.random.SeedSequence(seed).spawn(len(plan))
-
     fn = f.fn if hasattr(f, "fn") else f
-
-    def run_batch(i: int) -> tuple[tuple[int, float, float], int]:
-        rng = np.random.default_rng(streams[i])
-        pts = box.sample(plan[i], rng)
-        member = np.atleast_1d(region.contains(pts))
-        vals = np.zeros(plan[i])
-        if np.any(member):
-            vals[member] = np.asarray(fn(pts[member]), dtype=float)
-        vals *= boxvol
-        return _moments(vals), int(np.count_nonzero(member))
-
-    if threads > 1 and len(plan) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_batch, range(len(plan))))
-    else:
-        results = [run_batch(i) for i in range(len(plan))]
-
-    accepted = sum(acc for _, acc in results)
-    if accepted == 0:
-        raise EmptyRegionError("no sample landed in the region")
-    n, mean, m2 = _merge_stats([st for st, _ in results])
-    var = m2 / (n - 1) if n > 1 else 0.0
-    se = math.sqrt(max(var, 0.0) / n)
-    return QuadResult(value=mean, std_error=se, samples=n, method="mc-rejection")
+    return _box_rejection_mean(
+        region, lambda pts: np.asarray(fn(pts), dtype=float), budget, seed,
+        threads)
 
 
 def measure(region, predicate=None, budget: int = 100_000, seed: int = 0,
@@ -135,34 +160,12 @@ def measure(region, predicate=None, budget: int = 100_000, seed: int = 0,
     An everywhere-false predicate gives 0 with zero variance; only a region
     that is never hit at all raises EmptyRegionError.
     """
-    box = region.bounding_box()
-    boxvol = box.measure
-    plan = _batch_plan(budget)
-    streams = np.random.SeedSequence(seed).spawn(len(plan))
-
-    def run_batch(i: int) -> tuple[tuple[int, float, float], int]:
-        rng = np.random.default_rng(streams[i])
-        pts = box.sample(plan[i], rng)
-        member = np.atleast_1d(region.contains(pts))
-        hit = member.astype(float)
-        if predicate is not None and np.any(member):
-            sub = np.atleast_1d(predicate(pts[member]))
-            hit[member] = sub.astype(float)
-        return _moments(hit * boxvol), int(np.count_nonzero(member))
-
-    if threads > 1 and len(plan) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_batch, range(len(plan))))
-    else:
-        results = [run_batch(i) for i in range(len(plan))]
-
-    accepted = sum(acc for _, acc in results)
-    if accepted == 0:
-        raise EmptyRegionError("no sample landed in the region")
-    n, mean, m2 = _merge_stats([st for st, _ in results])
-    var = m2 / (n - 1) if n > 1 else 0.0
-    se = math.sqrt(max(var, 0.0) / n)
-    return QuadResult(value=mean, std_error=se, samples=n, method="mc-rejection")
+    if predicate is None:
+        return _box_rejection_mean(region, lambda pts: 1.0, budget, seed,
+                                   threads)
+    return _box_rejection_mean(
+        region, lambda pts: np.atleast_1d(predicate(pts)).astype(float),
+        budget, seed, threads)
 
 
 def _accepted_values(f, region, counts: list[int], seed: int) -> list[np.ndarray]:

@@ -34,6 +34,7 @@ from .fields import (
 )
 from .quadrature import integrate, measure, pmean, pmean_grid, box_gauss
 from .averages import (
+    SMAX,
     ball_average,
     ball_average_fd,
     deriv1_rhs,
@@ -41,6 +42,7 @@ from .averages import (
     heatball_average_fd,
     deriv2_rhs,
     modified_heatball_average,
+    heatball_unit_volume,
     AverageFamily,
     dense_box_sup,
     pmvi_constant,
@@ -57,7 +59,6 @@ from .constants import (
     k_laplace,
     k_heat,
     k_heat_value,
-    heatball_unit_volume,
     heatball_unit_volume_exact,
     heatball_unit_volume_quad,
     kappa,
@@ -81,8 +82,6 @@ from .counterexamples import (
 
 __all__ = ["CheckResult", "SuiteResult", "SUITE_NAMES", "default_config",
            "run_suite"]
-
-_SMAX = 1.0 / (4.0 * math.pi)
 
 _DEFAULTS = {
     "seed": 0,
@@ -335,7 +334,7 @@ def _i_psi(n: int) -> float:
 
     a = n / 2.0
     return (unit_ball_volume(n) * n / (n + 2) * (2.0 * n) ** (n / 2.0)
-            * _SMAX ** (a + 1.0) * gamma(a + 2.0) / (a + 1.0) ** (a + 2.0))
+            * SMAX ** (a + 1.0) * gamma(a + 2.0) / (a + 1.0) ** (a + 2.0))
 
 
 def _suite_deriv_formulas(cfg) -> list[CheckResult]:
@@ -594,16 +593,16 @@ def _suite_constants_audit(cfg) -> list[CheckResult]:
                            1e-7 - abs(kh - 7.6247e-4), seed0))
 
     sid = "constants/kappa-boundary-zero"
-    svals = np.array([0.2, 0.5, 0.9]) * _SMAX
+    svals = np.array([0.2, 0.5, 0.9]) * SMAX
     worst = 0.0
     for m, n in ((3, 1), (4, 2)):
         d = m + n
         origin = np.zeros(n)
         for s in svals:
             edge = origin.copy()
-            edge[0] = math.sqrt(2.0 * d * s * math.log(_SMAX / s))
+            edge[0] = math.sqrt(2.0 * d * s * math.log(SMAX / s))
             worst = max(worst, abs(kappa(m, n, edge, s)))
-        worst = max(worst, abs(kappa(m, n, origin, _SMAX)))
+        worst = max(worst, abs(kappa(m, n, origin, SMAX)))
         if kappa(m, n, origin, 0.0) != 0.0:
             worst = max(worst, 1.0)
     out.append(CheckResult(sid, worst <= 1e-12, 1e-12 - worst, seed0))

@@ -35,6 +35,7 @@ from lpbounds.averages import (
     sample_admissible,
 )
 from lpbounds.averages import _slice_samples
+from lpbounds.constants import heatball_unit_volume
 
 # frozen: int_{E(1)} log Phi_1 for the unit heat ball in one space dimension
 I_PSI_1 = 0.010209794359662818
@@ -279,3 +280,33 @@ def test_ball_average_linear_field_is_center_value(r, seed):
     res = ball_average(lin, (0.4, -0.2), r, budget=20_000, seed=seed)
     exact = lin((0.4, -0.2))
     assert abs(res.value - exact) <= 4 * max(res.std_error, 1e-12)
+
+
+_Q = quadratic_field(2)
+_T = neg_time_field(1)
+_BUDGETED = {
+    "ball_average": lambda b: ball_average(_Q, (0.0, 0.0), 0.5, budget=b),
+    "ball_average_fd": lambda b: ball_average_fd(_Q, (0.0, 0.0), 0.5,
+                                                 budget=b),
+    "deriv1_rhs": lambda b: deriv1_rhs(_Q, (0.0, 0.0), 0.5, budget=b),
+    "heatball_average": lambda b: heatball_average(_T, (0.0, 0.0), 0.5,
+                                                   budget=b),
+    "heatball_average_fd": lambda b: heatball_average_fd(_T, (0.0, 0.0), 0.5,
+                                                         budget=b),
+    "deriv2_rhs": lambda b: deriv2_rhs(_T, (0.0, 0.0), 0.5, budget=b),
+    "modified_heatball_average": lambda b: modified_heatball_average(
+        _T, (0.0, 0.0), 0.5, m=3, budget=b),
+    "AverageFamily": lambda b: AverageFamily("ball", _Q, (0.0, 0.0), 1.0,
+                                             budget=b).value(0.1),
+    "heatball_unit_volume": lambda b: heatball_unit_volume(2, budget=b),
+    "check_modified_heatball_mvi": lambda b: check_modified_heatball_mvi(
+        _T, 3, (0.0, 0.0), 0.5, budget=b),
+}
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+@pytest.mark.parametrize("name", list(_BUDGETED))
+def test_nonpositive_budget_raises(name, budget):
+    # budget 0 used to return value 0 from no samples; -5 drew 65,531
+    with pytest.raises(ValueError, match="budget must be positive"):
+        _BUDGETED[name](budget)

@@ -17,7 +17,6 @@ from lpbounds.fields import (
     heat_polynomial_field,
     monomial_field,
     neg_time_field,
-    family,
     random_laplace_one,
     random_heat_one,
     random_harmonic,
@@ -25,7 +24,6 @@ from lpbounds.fields import (
     laplacian_operator,
     heat_operator,
     mixed_xy_operator,
-    adjoint,
     laplacian,
     heat_op,
     neg_hessian_det,
@@ -154,14 +152,14 @@ def test_linear_operator_apply_and_adjoint():
     assert np.allclose(D.apply(u, pts), laplacian(u, pts))
     # order-2 terms keep their sign under the adjoint, order-1 flip
     H = heat_operator(1)
-    Hs = adjoint(H)
+    Hs = H.adjoint()
     tm = polynomial_field({(0, 1): 1.0})  # u = t
     assert np.allclose(H.apply(tm, pts), -1.0)
     assert np.allclose(Hs.apply(tm, pts), 1.0)
-    assert adjoint(Hs).terms == H.terms
+    assert Hs.adjoint().terms == H.terms
 
     M = mixed_xy_operator()
-    assert adjoint(M).terms == M.terms
+    assert M.adjoint().terms == M.terms
     xy = polynomial_field({(1, 1): 1.0})
     assert np.allclose(M.apply(xy, pts), 1.0)
 
@@ -177,15 +175,6 @@ def test_field_sum_and_positive_part():
     assert pp((-0.5, 0.0)) == pytest.approx(0.5)
     with pytest.raises(NotImplementedError):
         pp.gradient((0.5, 0.0))
-
-
-def test_family_registry():
-    u = family("quadratic", dim=2)
-    assert u((0.0, 0.0)) == pytest.approx(0.0)
-    v = family("monomial", k=3)
-    assert v(np.array([0.5])) == pytest.approx(0.125)
-    with pytest.raises(ValueError):
-        family("no-such-family")
 
 
 def test_monomial_domain():

@@ -8,16 +8,11 @@ from lpbounds.geometry import (
     Box,
     EuclideanBall,
     Heatball,
-    ModifiedHeatball,
-    DilatedRegion,
     BallSystem,
-    dilate,
     euclidean_system,
     box_system,
-    parabolic_system,
     parabolic_box_system,
     build_radius_function,
-    max_inscribed_radius,
     euclidean_shrink,
     heatball_shrink,
     system_shrink,
@@ -25,6 +20,7 @@ from lpbounds.geometry import (
     region_to_dict,
     region_from_dict,
 )
+from lpbounds.geometry import _sup_bisect
 
 SMAX = 1.0 / (4.0 * math.pi)
 
@@ -91,40 +87,26 @@ def test_heatball_bounding_box_reach():
 def test_modified_heatball_contains_plain_one():
     # the m-augmented ball projects to a wider spatial slice
     hb = Heatball((0.0, 0.0), 1.0)
-    mhb = ModifiedHeatball((0.0, 0.0), 1.0, m=3)
+    mhb = Heatball((0.0, 0.0), 1.0, m=3)
+    assert (hb.kernel_dim, mhb.kernel_dim) == (1, 4)
     rng = np.random.default_rng(2)
     pts = hb.bounding_box().sample(4000, rng)
     inside = pts[np.atleast_1d(hb.contains(pts))]
     assert len(inside) > 100
     assert np.all(mhb.contains(inside))
+    assert mhb.bounding_box().hi[0] == pytest.approx(
+        math.sqrt(4.0 / (2.0 * math.pi * math.e)))
     with pytest.raises(ValueError):
-        ModifiedHeatball((0.0, 0.0), 1.0, m=0)
-
-
-def test_dilated_region_scaling():
-    unit = Box((-1.0, -1.0), (1.0, 1.0))
-    reg = DilatedRegion(unit, (0.5, 0.5), 0.3, (1.0, 2.0))
-    assert reg.measure == pytest.approx(4.0 * 0.3**3)
-    assert reg.contains((0.5 + 0.29, 0.5))
-    assert not reg.contains((0.5 + 0.31, 0.5))
-    assert reg.contains((0.5, 0.5 + 0.089))
-    assert not reg.contains((0.5, 0.5 + 0.091))
-    pts = reg.sample(300, np.random.default_rng(3))
-    assert np.all(reg.contains(pts))
+        Heatball((0.0, 0.0), 1.0, m=-1)
 
 
 def test_ball_systems():
     e2 = euclidean_system(2)
     assert e2.degree == pytest.approx(2.0)
     assert e2.unit_volume == pytest.approx(math.pi)
-    p1 = parabolic_system(1)
-    assert p1.degree == pytest.approx(3.0)
-    assert p1.center_on_boundary
     pb = parabolic_box_system(3, 1)
     w = max(4.0 / (math.pi * math.e), math.sqrt(4.0 / (2.0 * math.pi * math.e)))
     assert pb.unit_ball.hi == pytest.approx((w, 1.0 / (2.0 * math.pi)))
-    ball = pb.ball((0.5, 0.5), 0.1)
-    assert ball.contains((0.5, 0.5))
 
 
 def test_parabolic_box_dominates_unit_modified_ball():
@@ -132,7 +114,7 @@ def test_parabolic_box_dominates_unit_modified_ball():
     for m in (3, 4, 5):
         for n in (1, 2):
             pb = parabolic_box_system(m, n)
-            mhb = ModifiedHeatball((0.0,) * (n + 1), 1.0, m=m)
+            mhb = Heatball((0.0,) * (n + 1), 1.0, m=m)
             box = mhb.bounding_box()
             unit = pb.unit_ball
             assert np.all(np.asarray(unit.lo) <= np.asarray(box.lo) + 1e-12)
@@ -159,14 +141,19 @@ def test_radius_function_matches_quadratic_on_ball_domain():
     assert rf.sup_radius((0.3, 0.0)) == pytest.approx(want, rel=1e-9)
 
 
+def _system_box(sys, a, r):
+    """Corners a -+ r^lambda w of the system ball B_r(a) for a box unit ball."""
+    w = np.asarray(r) ** np.asarray(sys.lambdas) * sys.unit_ball.halfwidths()
+    return np.asarray(a) - w, np.asarray(a) + w
+
+
 def test_radius_function_parabolic_divisor():
     dom = Box((0.0, 0.0), (1.0, 1.0))
     rf = build_radius_function(parabolic_box_system(3, 1), dom)
     assert rf.divisor == 2.0  # lambdas (1, 2) are all >= 1
     r = rf.sup_radius((0.5, 0.5))
-    ball = dilate(rf.system, (0.5, 0.5), r * (1 - 1e-9))
-    bb = ball.bounding_box() if hasattr(ball, "bounding_box") else ball
-    assert dom.contains(tuple(bb.lo)) and dom.contains(tuple(bb.hi))
+    lo, hi = _system_box(rf.system, (0.5, 0.5), r * (1 - 1e-9))
+    assert dom.contains(lo) and dom.contains(hi)
 
 
 @settings(max_examples=25, deadline=None)
@@ -178,23 +165,18 @@ def test_radius_function_containment_property(ax, ay, lam):
     a = (ax, ay)
     sup = rf.sup_radius(a)
     assert sup > 0
-    inner = dilate(sys, a, sup * (1 - 1e-9)).bounding_box()
-    assert dom.contains(tuple(inner.lo)) and dom.contains(tuple(inner.hi))
-    outer = dilate(sys, a, sup * 1.02).bounding_box()
-    corners_in = dom.contains(tuple(outer.lo)) and dom.contains(tuple(outer.hi))
-    assert not corners_in
+    lo, hi = _system_box(sys, a, sup * (1 - 1e-9))
+    assert dom.contains(lo) and dom.contains(hi)
+    lo, hi = _system_box(sys, a, sup * 1.02)
+    assert not (dom.contains(lo) and dom.contains(hi))
 
 
-def test_max_inscribed_radius_closed_forms():
-    dom = Box((0.0, 0.0), (2.0, 1.0))
-    assert max_inscribed_radius(euclidean_system(2), dom, (1.0, 0.5)) == \
-        pytest.approx(0.5)
-    assert max_inscribed_radius(euclidean_system(2), dom, (0.2, 0.5)) == \
-        pytest.approx(0.2)
-    hdom = Box((0.0, 0.0), (1.0, 1.0))
-    r = max_inscribed_radius(parabolic_system(1), hdom, (0.5, 0.5))
-    w = math.sqrt(1.0 / (2.0 * math.pi * math.e))
-    assert r == pytest.approx(min(0.5 / w, math.sqrt(0.5 * 4 * math.pi)))
+def test_sup_bisect_known_sup_and_never():
+    assert _sup_bisect(lambda r: r * r < 10.0) == pytest.approx(math.sqrt(10.0),
+                                                               rel=1e-12)
+    assert _sup_bisect(lambda r: r <= 0.3, hi=0.5) == pytest.approx(0.3,
+                                                                  rel=1e-12)
+    assert _sup_bisect(lambda r: False) == 0.0
 
 
 def test_shrinks():
@@ -232,14 +214,15 @@ def test_region_dict_round_trip():
         Box((0.0, 0.0), (1.0, 2.0)),
         EuclideanBall((0.5, 0.5), 0.25),
         Heatball((0.0, 0.0), 0.8),
-        ModifiedHeatball((0.0, 0.0), 0.8, m=4),
-        DilatedRegion(Box((-1.0,), (1.0,)), (0.5,), 0.2, (1.0,)),
+        Heatball((0.0, 0.0), 0.8, m=4),
     ]
+    kinds = [region_to_dict(reg)["kind"] for reg in regions]
+    assert kinds == ["box", "ball", "heatball", "modified-heatball"]
     rng = np.random.default_rng(7)
     for reg in regions:
         back = region_from_dict(region_to_dict(reg))
-        pts = reg.bounding_box().sample(200, rng) if hasattr(reg, "bounding_box") \
-            else reg.sample(200, rng)
+        assert back == reg
+        pts = reg.bounding_box().sample(200, rng)
         a = np.atleast_1d(reg.contains(pts))
         b = np.atleast_1d(back.contains(pts))
         assert np.array_equal(a, b)

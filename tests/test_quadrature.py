@@ -40,11 +40,15 @@ def test_integrate_xy_quarter():
 
 
 def test_integrate_deterministic_and_threaded():
-    a = integrate(XY, SQUARE, budget=150_000, seed=11)
-    b = integrate(XY, SQUARE, budget=150_000, seed=11)
-    assert a == b
-    c = integrate(XY, SQUARE, budget=150_000, seed=11, threads=2)
-    assert c.value == a.value and c.std_error == a.std_error
+    runs = [lambda **kw: integrate(XY, SQUARE, **kw),
+            lambda **kw: measure(SQUARE, predicate=lambda p: p[:, 0] < p[:, 1],
+                                 **kw)]
+    for run in runs:
+        a = run(budget=150_000, seed=11)
+        b = run(budget=150_000, seed=11)
+        assert a == b
+        c = run(budget=150_000, seed=11, threads=2)
+        assert c.value == a.value and c.std_error == a.std_error
 
 
 def test_integrate_rejects_to_ball_volume():

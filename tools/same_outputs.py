@@ -1,0 +1,81 @@
+"""Write every lpbounds CLI output at small budgets into one directory tree.
+
+Usage: python3 tools/same_outputs.py OUT_DIR
+
+Runs each CLI command (constants; deriv-check for laplace and for heat at
+n = 1 and 3; mvi-check for every kind; counterexample ccw; pmeans for both
+families) and every verification suite, once with --threads 1 and once
+with --threads 2, each in its own directory under
+OUT_DIR/threads<k>/<label>/, which is also the run's working directory.
+Standard output and the exit code of each run are saved next to the files
+the run wrote.  Budgets exceed one 65,536
+sample batch, so batch merging and the threaded quadrature path both run.
+
+Run it from two checkouts and compare the trees with ``diff -r``: a refactor
+that keeps every result must leave the diff empty.  The package is imported
+from the ``src`` directory beside this script.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+BUDGET = "70000"
+
+COMMANDS = {
+    "constants": ["constants", "--n", "1,2", "--m", "3,4", "--budget", BUDGET],
+    "deriv-laplace": ["deriv-check", "--op", "laplace", "--r", "0.2",
+                      "--fields", "2", "--budget", BUDGET],
+    "deriv-heat-1": ["deriv-check", "--op", "heat", "--n", "1", "--r", "0.5",
+                     "--fields", "2", "--budget", BUDGET],
+    "deriv-heat-3": ["deriv-check", "--op", "heat", "--n", "3", "--r", "0.5",
+                     "--fields", "2", "--budget", BUDGET],
+    "mvi-plain": ["mvi-check", "--kind", "plain", "--trials", "100"],
+    "mvi-power": ["mvi-check", "--kind", "power", "--trials", "100"],
+    "mvi-concave": ["mvi-check", "--kind", "concave", "--trials", "100"],
+    "mvi-modified": ["mvi-check", "--kind", "modified", "--budget", BUDGET],
+    "counterexample": ["counterexample", "ccw", "--budget", BUDGET],
+    "pmeans-monomial": ["pmeans", "--family", "monomial", "--budget", BUDGET],
+    "pmeans-laplace-one": ["pmeans", "--family", "laplace-one",
+                           "--budget", BUDGET],
+}
+
+
+def suite_names() -> tuple[str, ...]:
+    sys.path.insert(0, SRC)
+    from lpbounds.verify import SUITE_NAMES
+
+    return SUITE_NAMES
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    out = os.path.abspath(argv[0])
+    runs = dict(COMMANDS)
+    for name in suite_names():
+        runs[f"suite-{name}"] = ["suite", name, "--budget", "150000"]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    for threads in ("1", "2"):
+        for label, args in runs.items():
+            where = os.path.join(out, f"threads{threads}", label)
+            os.makedirs(where, exist_ok=True)
+            cmd = [sys.executable, "-m", "lpbounds.cli", *args,
+                   "--threads", threads, "--out-dir", "."]
+            proc = subprocess.run(cmd, env=env, cwd=where, capture_output=True,
+                                  text=True)
+            with open(os.path.join(where, "stdout.txt"), "w") as fh:
+                fh.write(proc.stdout)
+            with open(os.path.join(where, "exit_code.txt"), "w") as fh:
+                fh.write(f"{proc.returncode}\n")
+            print(f"threads={threads} {label}: exit {proc.returncode}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
