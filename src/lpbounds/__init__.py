@@ -42,8 +42,6 @@ from .fields import (
     laplacian_operator,
     heat_operator,
     mixed_xy_operator,
-    laplacian,
-    heat_op,
     neg_hessian_det,
     positive_part,
 )

@@ -30,6 +30,7 @@ from .geometry import (
     unit_ball_points,
     unit_ball_volume,
 )
+from .fields import heat_operator, laplacian_operator
 from .quadrature import QuadResult, mc_mean
 
 __all__ = [
@@ -127,12 +128,11 @@ def deriv1_rhs(u, x, r: float, budget: int = 100_000,
         raise ValueError("radius must be positive")
     dom = getattr(u, "domain", None)
     _require_box_inside(Box(tuple(x - r), tuple(x + r)), dom, "ball")
-    if getattr(u, "hess_fn", None) is None:
-        raise ValueError("field must carry an exact Hessian")
+    laplace = laplacian_operator(d)
 
     def draw(rng, count):
         z = unit_ball_points(d, count, rng)
-        lap = np.trace(u.hess_fn(x + r * z), axis1=1, axis2=2)
+        lap = laplace.apply(u, x + r * z)
         weight = r * (1.0 - np.sum(z * z, axis=1)) / 2.0
         return weight * lap
 
@@ -237,15 +237,11 @@ def deriv2_rhs(u, center, r: float, budget: int = 100_000,
     if r <= 0:
         raise ValueError("radius must be positive")
     _check_heatball_domain(u, center, r, 0)
-    if getattr(u, "hess_fn", None) is None or getattr(u, "grad_fn", None) is None:
-        raise ValueError("field must carry exact derivatives")
+    heat = heat_operator(n)
 
     def draw(rng, count):
         y, s, w = _slice_samples(n, n, count, rng)
-        pts = _heatball_points(center, r, y, s)
-        hess = u.hess_fn(pts)
-        grad = u.grad_fn(pts)
-        hu = np.trace(hess[:, :n, :n], axis1=1, axis2=2) - grad[:, n]
+        hu = heat.apply(u, _heatball_points(center, r, y, s))
         psi = (-0.5 * n * np.log(4.0 * math.pi * s)
                - np.sum(y * y, axis=1) / (4.0 * s))
         return n * r * hu * psi * w
@@ -365,21 +361,6 @@ def concave_mvi_constant(C: float, sys: BallSystem, R0: float, K: float,
     return 2.0 * R0 ** (-A) * c_phi**m * C
 
 
-def _radius_function_values(sys: BallSystem, domain, a: np.ndarray) -> np.ndarray:
-    """Vectorized radius function R(a) (sup by closed form where possible)."""
-    divisor = 2.0 if all(v >= 1.0 for v in sys.lambdas) else 4.0
-    lam = np.asarray(sys.lambdas)
-    if isinstance(domain, Box):
-        bb = domain
-        ybar = np.maximum(np.abs(np.asarray(bb.lo)), np.abs(np.asarray(bb.hi)))
-        margins = np.minimum(a - np.asarray(bb.lo), np.asarray(bb.hi) - a)
-        margins = np.maximum(margins, 0.0)
-        per_axis = (margins / ybar) ** (1.0 / lam)
-        return np.min(per_axis, axis=1) / divisor
-    rf = build_radius_function(sys, domain)
-    return np.array([rf(ai) for ai in a])
-
-
 def sample_admissible(sys: BallSystem, domain, trials: int,
                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """(a, r) pairs: a uniform in the domain, r uniform in (0, R(a)]."""
@@ -397,7 +378,7 @@ def sample_admissible(sys: BallSystem, domain, trials: int,
             take = min(len(cand), trials - got)
             a[got:got + take] = cand[:take]
             got += take
-    rmax = _radius_function_values(sys, domain, a)
+    rmax = build_radius_function(sys, domain)(a)
     if np.all(rmax <= 0):
         raise RuntimeError("no admissible (a, r) pair found")
     r = rng.random(trials) * rmax
@@ -467,7 +448,7 @@ def _mvi_harness(kind: str, values_of, sys: BallSystem, constant: float,
     rhs = constant * v1 * means
     band = 3.0 * constant * v1 * ses
     margins = rhs + band - lhs
-    violations = int(np.count_nonzero(margins < 0.0))
+    violations = int(np.count_nonzero(~(margins >= 0.0)))
     worst = float(np.min(margins))
     return MviCheckReport(kind=kind, constant=constant, trials=trials,
                           violations=violations, worst_margin=worst, seed=seed)
@@ -544,21 +525,18 @@ def check_modified_heatball_mvi(u_plus, m: int, center, R: float,
     n = centers.shape[1] - 1
     M = kappa_max(m, n).closed_form if constant is None else float(constant)
     base = _positive_values(u_plus)
-    violations = 0
-    worst = math.inf
+    margins = np.empty(len(centers))
     for i, c in enumerate(centers):
         # plain integral of u_+ over E_m: reuse the slice sampler weights
         res = _modified_integral(base, c, R, m, n, budget, seed + i)
         lhs = float(base(np.atleast_2d(c))[0])
         rhs = (M / R ** (n + 2)) * res.value
         band = 3.0 * (M / R ** (n + 2)) * res.std_error
-        margin = rhs + band - lhs
-        worst = min(worst, margin)
-        if margin < 0:
-            violations += 1
+        margins[i] = rhs + band - lhs
     return MviCheckReport(kind=f"modified-heatball[m={m}]", constant=M,
-                          trials=len(centers), violations=violations,
-                          worst_margin=float(worst), seed=seed)
+                          trials=len(centers),
+                          violations=int(np.count_nonzero(~(margins >= 0.0))),
+                          worst_margin=float(np.min(margins)), seed=seed)
 
 
 def _modified_integral(values, center, r: float, m: int, n: int,
@@ -578,14 +556,14 @@ def dense_box_sup(u, box: Box, interior: int = 128,
     """max of u over a box by interior lattice plus dense boundary scan.
 
     Subsolutions attain their max on the boundary, where the scan is much
-    denser; the interior lattice is a safety net.
+    denser; the interior lattice is a safety net.  A NaN value anywhere
+    makes the result NaN.
     """
     fn = _field_fn(u)
     d = box.dim
-    best = -math.inf
     axes = [np.linspace(lo, hi, interior) for lo, hi in zip(box.lo, box.hi)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    best = max(best, float(np.max(fn(mesh))))
+    peaks = [np.max(fn(mesh))]
     face_res = edge if d == 2 else 513
     for axis in range(d):
         others = [np.linspace(lo, hi, face_res)
@@ -597,8 +575,27 @@ def dense_box_sup(u, box: Box, interior: int = 128,
             grid = np.zeros((1, 0))
         for side in (box.lo[axis], box.hi[axis]):
             face = np.insert(grid, axis, side, axis=1)
-            best = max(best, float(np.max(fn(face))))
-    return best
+            peaks.append(np.max(fn(face)))
+    return float(np.max(peaks))
+
+
+def _claim_drop(kind: str, u, omega: Box, inner: Box | None, drop: float,
+                R: float, n_points: int, seed: int) -> dict:
+    """Samples inner and counts points where u exceeds sup_omega u - drop.
+
+    A point is a violation unless its margin is >= -tol, so NaN fails.
+    """
+    if inner is None:
+        raise ValueError("shrunken domain is empty")
+    sup = dense_box_sup(u, omega)
+    pts = inner.sample(n_points, np.random.default_rng(seed))
+    vals = np.asarray(_field_fn(u)(pts), dtype=float)
+    tol = 1e-6 * max(1.0, abs(sup))
+    margins = (sup - drop) - vals
+    violations = int(np.count_nonzero(~(margins >= -tol)))
+    return {"kind": kind, "sup": sup, "drop": drop,
+            "points": n_points, "violations": violations,
+            "worst_margin": float(np.min(margins)), "R": R, "seed": seed}
 
 
 def claim_laplace_drop(u, omega: Box, R: float, n_points: int = 1000,
@@ -606,21 +603,8 @@ def claim_laplace_drop(u, omega: Box, R: float, n_points: int = 1000,
     """Fields with Delta u >= 1, u <= c on Omega satisfy
     u <= c - R^2/(2n+4) on the inner parallel set Omega_R."""
     n = omega.dim
-    sup = dense_box_sup(u, omega)
-    inner = euclidean_shrink(omega, R)
-    if inner is None:
-        raise ValueError("shrunken domain is empty")
-    drop = R * R / (2.0 * n + 4.0)
-    rng = np.random.default_rng(seed)
-    pts = inner.sample(n_points, rng)
-    fn = _field_fn(u)
-    vals = np.asarray(fn(pts), dtype=float)
-    tol = 1e-6 * max(1.0, abs(sup))
-    margins = (sup - drop) - vals
-    violations = int(np.count_nonzero(margins < -tol))
-    return {"kind": "laplace-drop", "sup": sup, "drop": drop,
-            "points": n_points, "violations": violations,
-            "worst_margin": float(np.min(margins)), "R": R, "seed": seed}
+    return _claim_drop("laplace-drop", u, omega, euclidean_shrink(omega, R),
+                       R * R / (2.0 * n + 4.0), R, n_points, seed)
 
 
 def claim_heat_drop(u, omega: Box, R: float, n_points: int = 1000,
@@ -630,18 +614,5 @@ def claim_heat_drop(u, omega: Box, R: float, n_points: int = 1000,
     from .constants import k_heat_value
 
     n = omega.dim - 1
-    sup = dense_box_sup(u, omega)
-    inner = heatball_shrink(omega, R, n)
-    if inner is None:
-        raise ValueError("shrunken domain is empty")
-    drop = k_heat_value(n) * R * R
-    rng = np.random.default_rng(seed)
-    pts = inner.sample(n_points, rng)
-    fn = _field_fn(u)
-    vals = np.asarray(fn(pts), dtype=float)
-    tol = 1e-6 * max(1.0, abs(sup))
-    margins = (sup - drop) - vals
-    violations = int(np.count_nonzero(margins < -tol))
-    return {"kind": "heat-drop", "sup": sup, "drop": drop,
-            "points": n_points, "violations": violations,
-            "worst_margin": float(np.min(margins)), "R": R, "seed": seed}
+    return _claim_drop("heat-drop", u, omega, heatball_shrink(omega, R, n),
+                       k_heat_value(n) * R * R, R, n_points, seed)

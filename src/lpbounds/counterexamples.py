@@ -25,6 +25,7 @@ from .fields import (
     polynomial_field,
     harmonic_polynomial_field,
     ccw_hessian_field,
+    laplacian_operator,
     neg_hessian_det,
 )
 from .quadrature import integrate
@@ -277,8 +278,7 @@ def assemble_ccw_witness(delta, degree: int, samples_per_rect: int = 64,
     tau = fit.residual_sup + target.bound
 
     grid = square.sample(4096, np.random.default_rng(seed + 1))
-    lap_err = float(np.max(np.abs(
-        np.trace(u.hess_fn(grid), axis1=1, axis2=2) - 1.0)))
+    lap_err = float(np.max(np.abs(laplacian_operator(2).apply(u, grid) - 1.0)))
 
     sub = integrate(lambda pts: (np.abs(u.fn(pts)) <= tau).astype(float),
                     square, budget=budget, seed=seed)

@@ -2,7 +2,8 @@
 
 A ScalarField evaluates on batches of points, shape (N, d) -> (N,), with
 optional exact gradient (N, d) and Hessian (N, d, d).  Derivatives are
-analytic per family; finite differences exist only as test utilities.
+analytic per family.  LinearOperator.apply is the one path from those
+derivatives to operator images (Delta u, Hu, D* phi).
 Spacetime fields order coordinates (x_1, .., x_n, t), time last.
 """
 
@@ -14,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import Box
+from .geometry import Box, _as_points
 
 __all__ = [
     "ScalarField",
@@ -36,22 +37,9 @@ __all__ = [
     "laplacian_operator",
     "heat_operator",
     "mixed_xy_operator",
-    "laplacian",
-    "heat_op",
     "neg_hessian_det",
     "positive_part",
-    "fd_gradient",
-    "fd_hessian",
 ]
-
-
-def _pts(p, dim: int) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(p, dtype=float)
-    single = arr.ndim == 1
-    arr = np.atleast_2d(arr)
-    if arr.shape[1] != dim:
-        raise ValueError(f"expected points in R^{dim}, got shape {arr.shape}")
-    return arr, single
 
 
 @dataclass
@@ -72,23 +60,9 @@ class ScalarField:
     params: dict = dc_field(default_factory=dict)
 
     def __call__(self, p):
-        pts, single = _pts(p, self.dim)
+        pts, single = _as_points(p, self.dim)
         v = np.asarray(self.fn(pts), dtype=float)
         return float(v[0]) if single else v
-
-    def gradient(self, p):
-        if self.grad_fn is None:
-            raise NotImplementedError(f"field {self.name!r} has no exact gradient")
-        pts, single = _pts(p, self.dim)
-        g = np.asarray(self.grad_fn(pts), dtype=float)
-        return g[0] if single else g
-
-    def hessian(self, p):
-        if self.hess_fn is None:
-            raise NotImplementedError(f"field {self.name!r} has no exact hessian")
-        pts, single = _pts(p, self.dim)
-        h = np.asarray(self.hess_fn(pts), dtype=float)
-        return h[0] if single else h
 
 
 def field_sum(fields: Sequence[ScalarField], coeffs: Sequence[float] | None = None,
@@ -539,16 +513,25 @@ class LinearOperator:
         terms = tuple((b, a * (-1.0) ** sum(b)) for b, a in self.terms)
         return LinearOperator(self.dim, terms, name=f"adj({self.name})")
 
+    def _derivative(self, f: ScalarField, order: int, pts: np.ndarray):
+        """f.fn, f.grad_fn or f.hess_fn at pts if some term has that order."""
+        if all(sum(b) != order for b, _ in self.terms):
+            return None
+        attr = ("fn", "grad_fn", "hess_fn")[order]
+        fn = getattr(f, attr, None)
+        if fn is None:
+            raise ValueError(f"field {getattr(f, 'name', '')!r} has no {attr}, "
+                             f"which operator {self.name!r} needs")
+        return fn(pts)
+
     def apply(self, f: ScalarField, p):
         if self.order > 2:
             raise NotImplementedError("operators of order > 2 are not applied")
-        pts, single = _pts(p, self.dim)
+        pts, single = _as_points(p, self.dim)
         out = np.zeros(len(pts))
-        need_g = any(sum(b) == 1 for b, _ in self.terms)
-        need_h = any(sum(b) == 2 for b, _ in self.terms)
-        vals = f.fn(pts) if any(sum(b) == 0 for b, _ in self.terms) else None
-        g = f.grad_fn(pts) if need_g else None
-        h = f.hess_fn(pts) if need_h else None
+        vals = self._derivative(f, 0, pts)
+        g = self._derivative(f, 1, pts)
+        h = self._derivative(f, 2, pts)
         for b, a in self.terms:
             k = sum(b)
             if k == 0:
@@ -592,27 +575,9 @@ def mixed_xy_operator() -> LinearOperator:
     return LinearOperator(2, (((1, 1), 1.0),), name="dxdy")
 
 
-def laplacian(f: ScalarField, p):
-    """Trace of the exact Hessian."""
-    pts, single = _pts(p, f.dim)
-    h = f.hess_fn(pts)
-    out = np.trace(h, axis1=1, axis2=2)
-    return float(out[0]) if single else out
-
-
-def heat_op(f: ScalarField, p):
-    """Hu = Delta_x u - u_t for spacetime fields (time last)."""
-    pts, single = _pts(p, f.dim)
-    h = f.hess_fn(pts)
-    g = f.grad_fn(pts)
-    n = f.dim - 1
-    out = np.trace(h[:, :n, :n], axis1=1, axis2=2) - g[:, -1]
-    return float(out[0]) if single else out
-
-
 def neg_hessian_det(f: ScalarField, p):
     """-det(Hess u); on the plane this is (u_xy)^2 - u_xx u_yy."""
-    pts, single = _pts(p, f.dim)
+    pts, single = _as_points(p, f.dim)
     h = f.hess_fn(pts)
     out = -np.linalg.det(h)
     return float(out[0]) if single else out
@@ -624,34 +589,3 @@ def positive_part(f: ScalarField) -> ScalarField:
                     domain=f.domain, name=f"({f.name})_+",
                     params=dict(f.params))
     return g
-
-
-def fd_gradient(f: ScalarField, p, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient; test utility."""
-    pts, single = _pts(p, f.dim)
-    g = np.empty_like(pts)
-    for i in range(f.dim):
-        e = np.zeros(f.dim)
-        e[i] = h
-        g[:, i] = (f.fn(pts + e) - f.fn(pts - e)) / (2.0 * h)
-    return g[0] if single else g
-
-
-def fd_hessian(f: ScalarField, p, h: float = 1e-4) -> np.ndarray:
-    """Central-difference Hessian; test utility."""
-    pts, single = _pts(p, f.dim)
-    d = f.dim
-    out = np.empty((len(pts), d, d))
-    base = f.fn(pts)
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = h
-        out[:, i, i] = (f.fn(pts + ei) - 2.0 * base + f.fn(pts - ei)) / h**2
-        for j in range(i + 1, d):
-            ej = np.zeros(d)
-            ej[j] = h
-            mixed = (f.fn(pts + ei + ej) - f.fn(pts + ei - ej)
-                     - f.fn(pts - ei + ej) + f.fn(pts - ei - ej)) / (4.0 * h**2)
-            out[:, i, j] = mixed
-            out[:, j, i] = mixed
-    return out[0] if single else out

@@ -339,9 +339,11 @@ class RadiusFunction:
     """R(a) = sup{r : B~_r(a) subset domain} / divisor.
 
     B~_r(a) is the candidate box a + r^lambda . B~ where B~ is the smallest
-    origin-symmetric axis-aligned box containing the domain.  The sup is
-    found by doubling-then-bisection (_sup_bisect); containment is exact
-    for Box and EuclideanBall domains and probe-based otherwise.
+    origin-symmetric axis-aligned box containing the domain.  On a Box
+    domain the sup has a closed form; elsewhere it is found by
+    doubling-then-bisection (_sup_bisect), with exact containment for
+    EuclideanBall domains and probe-based containment otherwise.  Like
+    contains, sup_radius and __call__ take one point or an (N, d) batch.
 
     The divisor (4 in general, 2 when every exponent is >= 1) makes the
     construction satisfy the two-sided admissibility axioms with ratio
@@ -373,9 +375,6 @@ class RadiusFunction:
     def _fits(self, a: np.ndarray, r: float) -> bool:
         lo, hi = self._candidate_box(a, r)
         dom = self.domain
-        if isinstance(dom, Box):
-            return bool(np.all(lo >= np.asarray(dom.lo)) and
-                        np.all(hi <= np.asarray(dom.hi)))
         if isinstance(dom, EuclideanBall):
             c = np.asarray(dom.center)
             reach = np.abs(a - c) + (hi - lo) / 2.0
@@ -385,13 +384,24 @@ class RadiusFunction:
         pts = a + self._probes * (hi - lo) / 2.0
         return bool(np.all(dom.contains(pts)))
 
-    def sup_radius(self, a) -> float:
-        a = np.asarray(a, dtype=float)
-        if not self.domain.contains(a):
+    def sup_radius(self, a):
+        pts, single = _as_points(a, self.system.dim)
+        if not np.all(self.domain.contains(pts)):
             raise ValueError("center must lie in the domain")
-        return _sup_bisect(lambda r: self._fits(a, r))
+        dom = self.domain
+        if isinstance(dom, Box):
+            # the candidate box fits iff r^lambda_i w_i <= margin_i per axis
+            lo, hi = np.asarray(dom.lo), np.asarray(dom.hi)
+            margins = np.minimum(pts - lo, hi - pts)
+            per_axis = ((margins / np.asarray(self.halfwidths))
+                        ** (1.0 / np.asarray(self.system.lambdas)))
+            out = np.min(per_axis, axis=1)
+        else:
+            out = np.array([_sup_bisect(lambda r: self._fits(p, r))
+                            for p in pts])
+        return float(out[0]) if single else out
 
-    def __call__(self, a) -> float:
+    def __call__(self, a):
         return self.sup_radius(a) / self.divisor
 
 

@@ -310,3 +310,41 @@ def test_nonpositive_budget_raises(name, budget):
     # budget 0 used to return value 0 from no samples; -5 drew 65,531
     with pytest.raises(ValueError, match="budget must be positive"):
         _BUDGETED[name](budget)
+
+
+_SQ = Box((0.0, 0.0), (1.0, 1.0))
+_NAN = ScalarField(2, lambda pts: np.full(len(pts), np.nan), domain=_SQ,
+                   name="all-nan")
+
+
+def _mvi_outcome(rep):
+    return rep.violations == rep.trials, rep.worst_margin
+
+
+def _drop_outcome(out):
+    all_failed = out["violations"] == out["points"] and math.isnan(out["sup"])
+    return all_failed, out["worst_margin"]
+
+
+# each returns (every trial failed, a number that must be NaN)
+_NAN_CHECKS = {
+    "check_mvi": lambda: _mvi_outcome(check_mvi(
+        _NAN, euclidean_system(2), 1.0 / math.pi, trials=20, seed=0)),
+    "check_modified_heatball_mvi": lambda: _mvi_outcome(
+        check_modified_heatball_mvi(_NAN, 3, [(0.3, 0.9), (0.5, 0.9)], 0.5,
+                                    budget=1000)),
+    "claim_laplace_drop": lambda: _drop_outcome(claim_laplace_drop(
+        _NAN, _SQ, 0.2, n_points=50)),
+    "claim_heat_drop": lambda: _drop_outcome(claim_heat_drop(
+        _NAN, _SQ, 0.3, n_points=50)),
+    "dense_box_sup": lambda: (True, dense_box_sup(_NAN, _SQ, interior=8,
+                                                  edge=9)),
+}
+
+
+@pytest.mark.parametrize("name", list(_NAN_CHECKS))
+def test_all_nan_field_fails_closed(name):
+    # a NaN margin used to count as no violation, and max() dropped NaN
+    all_failed, number = _NAN_CHECKS[name]()
+    assert all_failed
+    assert math.isnan(number)

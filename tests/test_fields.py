@@ -24,25 +24,59 @@ from lpbounds.fields import (
     laplacian_operator,
     heat_operator,
     mixed_xy_operator,
-    laplacian,
-    heat_op,
     neg_hessian_det,
     positive_part,
-    fd_gradient,
-    fd_hessian,
 )
+from lpbounds.averages import deriv1_rhs, deriv2_rhs
 
 RNG = np.random.default_rng(0)
+
+
+def _lap(f, pts):
+    return laplacian_operator(f.dim).apply(f, pts)
+
+
+def _heat(f, pts):
+    return heat_operator(f.dim - 1).apply(f, pts)
+
+
+def _fd_gradient(f, pts, h=1e-5):
+    """Central-difference gradient of f at an (N, d) batch."""
+    g = np.empty_like(pts)
+    for i in range(f.dim):
+        e = np.zeros(f.dim)
+        e[i] = h
+        g[:, i] = (f.fn(pts + e) - f.fn(pts - e)) / (2.0 * h)
+    return g
+
+
+def _fd_hessian(f, pts, h=1e-4):
+    """Central-difference Hessian of f at an (N, d) batch."""
+    d = f.dim
+    out = np.empty((len(pts), d, d))
+    base = f.fn(pts)
+    for i in range(d):
+        ei = np.zeros(d)
+        ei[i] = h
+        out[:, i, i] = (f.fn(pts + ei) - 2.0 * base + f.fn(pts - ei)) / h**2
+        for j in range(i + 1, d):
+            ej = np.zeros(d)
+            ej[j] = h
+            mixed = (f.fn(pts + ei + ej) - f.fn(pts + ei - ej)
+                     - f.fn(pts - ei + ej) + f.fn(pts - ei - ej)) / (4.0 * h**2)
+            out[:, i, j] = mixed
+            out[:, j, i] = mixed
+    return out
 
 
 def _check_derivatives(f, pts, rel=1e-6):
     """Exact gradient/Hessian against central differences (h = 1e-5)."""
     g = f.grad_fn(pts)
-    gfd = fd_gradient(f, pts)
+    gfd = _fd_gradient(f, pts)
     scale = np.maximum(np.abs(g).max(), 1.0)
     assert np.max(np.abs(g - gfd)) <= rel * scale
     h = f.hess_fn(pts)
-    hfd = fd_hessian(f, pts)
+    hfd = _fd_hessian(f, pts)
     hscale = np.maximum(np.abs(h).max(), 1.0)
     assert np.max(np.abs(h - hfd)) <= rel * hscale
     # symmetry of the exact Hessian
@@ -54,7 +88,7 @@ def test_polynomial_field_evaluation_and_derivs():
     u = polynomial_field({(2, 1): 1.0, (0, 1): 3.0})
     p = np.array([[2.0, 0.5]])
     assert u(p[0]) == pytest.approx(2.0 + 1.5)
-    assert u.gradient(p[0]) == pytest.approx([2.0, 7.0])
+    assert u.grad_fn(p)[0] == pytest.approx([2.0, 7.0])
     _check_derivatives(u, RNG.uniform(-1, 1, (50, 2)))
 
 
@@ -62,20 +96,20 @@ def test_quadratic_field_unit_laplacian():
     for d in (1, 2, 3):
         u = quadratic_field(d)
         pts = RNG.uniform(-1, 1, (20, d))
-        assert np.allclose(laplacian(u, pts), 1.0, atol=1e-12)
+        assert np.allclose(_lap(u, pts), 1.0, atol=1e-12)
 
 
 def test_quadratic_spatial_ignores_time():
     u = quadratic_field(3, spatial=True)  # two spatial dims + time
     pts = RNG.uniform(0, 1, (20, 3))
-    assert np.allclose(heat_op(u, pts), 1.0, atol=1e-12)
+    assert np.allclose(_heat(u, pts), 1.0, atol=1e-12)
 
 
 def test_harmonic_polynomial_exactly_harmonic():
     u = harmonic_polynomial_field([(3, 1.0 + 2.0j), (5, -0.7j)],
                                   center=(0.2, 0.1), scale=0.5)
     pts = RNG.uniform(-0.5, 0.5, (100, 2))
-    assert np.max(np.abs(laplacian(u, pts))) <= 1e-9
+    assert np.max(np.abs(_lap(u, pts))) <= 1e-9
     _check_derivatives(u, pts)
 
 
@@ -83,13 +117,13 @@ def test_heat_polynomials_caloric():
     for k in range(5):
         v = heat_polynomial_field(k, axis=0, dim=2)
         pts = RNG.uniform(-1, 1, (30, 2))
-        assert np.max(np.abs(heat_op(v, pts))) <= 1e-10
+        assert np.max(np.abs(_heat(v, pts))) <= 1e-10
 
 
 def test_heat_kernel_field_caloric_above_source():
     u = heat_kernel_field(1, source=(0.5, -0.3))
     pts = np.column_stack([RNG.uniform(0, 1, 40), RNG.uniform(0.0, 1.0, 40)])
-    vals = heat_op(u, pts)
+    vals = _heat(u, pts)
     assert np.max(np.abs(vals)) <= 1e-9
     _check_derivatives(u, pts, rel=2e-5)
 
@@ -116,7 +150,7 @@ def test_bump_function_support_and_derivs():
 def test_neg_time_field():
     u = neg_time_field(2)
     pts = RNG.uniform(0, 1, (20, 3))
-    assert np.allclose(heat_op(u, pts), 1.0)
+    assert np.allclose(_heat(u, pts), 1.0)
     assert u((0.1, 0.2, 0.7)) == pytest.approx(-0.7)
 
 
@@ -124,7 +158,7 @@ def test_neg_time_field():
 def test_random_laplace_one_has_unit_laplacian(seed):
     u = random_laplace_one(seed)
     pts = RNG.uniform(0, 1, (100, 2))
-    assert np.max(np.abs(laplacian(u, pts) - 1.0)) <= 1e-10
+    assert np.max(np.abs(_lap(u, pts) - 1.0)) <= 1e-10
     _check_derivatives(u, pts)
 
 
@@ -132,24 +166,24 @@ def test_random_laplace_one_has_unit_laplacian(seed):
 def test_random_heat_one_has_unit_excess(seed, n):
     u = random_heat_one(seed, n=n)
     pts = RNG.uniform(0, 1, (100, n + 1))
-    assert np.max(np.abs(heat_op(u, pts) - 1.0)) <= 1e-10
+    assert np.max(np.abs(_heat(u, pts) - 1.0)) <= 1e-10
 
 
 def test_random_harmonic_and_caloric_annihilated():
     h = random_harmonic(5)
     pts = RNG.uniform(0, 1, (80, 2))
-    assert np.max(np.abs(laplacian(h, pts))) <= 1e-9
+    assert np.max(np.abs(_lap(h, pts))) <= 1e-9
     for n in (1, 2):
         w = random_caloric(5, n=n, domain=Box((0.0,) * (n + 1), (1.0,) * (n + 1)))
         pts = RNG.uniform(0.05, 0.95, (80, n + 1))
-        assert np.max(np.abs(heat_op(w, pts))) <= 1e-8
+        assert np.max(np.abs(_heat(w, pts))) <= 1e-8
 
 
 def test_linear_operator_apply_and_adjoint():
     D = laplacian_operator(2)
     u = polynomial_field({(2, 0): 1.0, (0, 2): 2.0})
     pts = RNG.uniform(-1, 1, (10, 2))
-    assert np.allclose(D.apply(u, pts), laplacian(u, pts))
+    assert np.allclose(D.apply(u, pts), 6.0)
     # order-2 terms keep their sign under the adjoint, order-1 flip
     H = heat_operator(1)
     Hs = H.adjoint()
@@ -169,12 +203,11 @@ def test_field_sum_and_positive_part():
     b = polynomial_field({(0, 1): 1.0})
     s = field_sum([a, b], [2.0, -1.0])
     assert s((1.0, 1.0)) == pytest.approx(1.0)
-    assert s.gradient((0.3, 0.4)) == pytest.approx([2.0, -1.0])
+    assert s.grad_fn(np.array([[0.3, 0.4]]))[0] == pytest.approx([2.0, -1.0])
     pp = positive_part(field_sum([a], [-1.0]))
     assert pp((0.5, 0.0)) == 0.0
     assert pp((-0.5, 0.0)) == pytest.approx(0.5)
-    with pytest.raises(NotImplementedError):
-        pp.gradient((0.5, 0.0))
+    assert pp.grad_fn is None and pp.hess_fn is None
 
 
 def test_monomial_domain():
@@ -197,12 +230,37 @@ def test_polynomial_derivatives_property(i, j, c1, c2):
 def test_harmonic_pair_laplacian_property(k, scale):
     u = harmonic_polynomial_field([(k, 1.0 + 0.5j)], scale=scale)
     pts = np.array([[0.3, -0.2], [-0.8, 0.5], [0.0, 0.0]])
-    assert np.max(np.abs(laplacian(u, pts))) <= 1e-8
+    assert np.max(np.abs(_lap(u, pts))) <= 1e-8
 
 
 def test_scalar_field_missing_derivative():
-    f = ScalarField(2, lambda pts: pts[:, 0])
-    with pytest.raises(NotImplementedError):
-        f.gradient((0.0, 0.0))
-    with pytest.raises(NotImplementedError):
-        f.hessian((0.0, 0.0))
+    # the positive part carries values only; every operator image refuses it
+    pp = positive_part(random_harmonic(1))
+    with pytest.raises(ValueError, match="hess_fn.*laplace-2"):
+        laplacian_operator(2).apply(pp, (0.5, 0.5))
+    with pytest.raises(ValueError, match="grad_fn.*heat-1"):
+        heat_operator(1).apply(pp, (0.5, 0.5))
+    with pytest.raises(ValueError, match="hess_fn"):
+        deriv1_rhs(pp, (0.5, 0.5), 0.1, budget=100)
+    with pytest.raises(ValueError, match="grad_fn"):
+        deriv2_rhs(pp, (0.5, 0.9), 0.5, budget=100)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_heat_operator_image_is_bit_identical_to_trace(n):
+    pts = RNG.uniform(0.05, 0.95, (200, n + 1))
+    dom = Box((0.0,) * (n + 1), (1.0,) * (n + 1))
+    for u in (random_heat_one(4, n=n), random_caloric(4, n=n, domain=dom)):
+        h = u.hess_fn(pts)
+        g = u.grad_fn(pts)
+        want = np.trace(h[:, :n, :n], axis1=1, axis2=2) - g[:, n]
+        assert np.array_equal(heat_operator(n).apply(u, pts), want)
+
+
+def test_laplacian_operator_image_is_bit_identical_to_trace():
+    cubic = polynomial_field({(3, 0, 0): 1.0, (1, 2, 0): -0.5, (0, 1, 2): 2.0,
+                              (0, 0, 2): 0.3})
+    for u in (random_laplace_one(4), cubic):
+        pts = RNG.uniform(0, 1, (200, u.dim))
+        want = np.trace(u.hess_fn(pts), axis1=1, axis2=2)
+        assert np.array_equal(laplacian_operator(u.dim).apply(u, pts), want)

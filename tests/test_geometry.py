@@ -141,6 +141,19 @@ def test_radius_function_matches_quadratic_on_ball_domain():
     assert rf.sup_radius((0.3, 0.0)) == pytest.approx(want, rel=1e-9)
 
 
+@pytest.mark.parametrize("dom", [Box((0.0, 0.0), (1.0, 1.0)),
+                                 EuclideanBall((0.0, 0.0), 1.0)])
+def test_radius_function_batch_matches_per_point(dom):
+    rf = build_radius_function(euclidean_system(2), dom)
+    a = np.array([[0.5, 0.5], [0.1, 0.5], [0.3, 0.2], [0.0, 0.4]])
+    batch = rf(a)
+    assert batch.shape == (4,)
+    assert np.array_equal(batch, [rf(p) for p in a])
+    assert np.array_equal(rf.sup_radius(a), [rf.sup_radius(p) for p in a])
+    with pytest.raises(ValueError):
+        rf(np.vstack([a, [[5.0, 5.0]]]))
+
+
 def _system_box(sys, a, r):
     """Corners a -+ r^lambda w of the system ball B_r(a) for a box unit ball."""
     w = np.asarray(r) ** np.asarray(sys.lambdas) * sys.unit_ball.halfwidths()

@@ -2,14 +2,14 @@
 
 Usage: python3 tools/same_outputs.py OUT_DIR
 
-Runs each CLI command (constants; deriv-check for laplace and for heat at
-n = 1 and 3; mvi-check for every kind; counterexample ccw; pmeans for both
-families) and every verification suite, once with --threads 1 and once
-with --threads 2, each in its own directory under
+Runs each CLI command (constants; deriv-check for laplace at n = 2 and 3
+and for heat at n = 1, 2 and 3; mvi-check for every kind; counterexample
+ccw; pmeans for both families) and every verification suite, once with
+--threads 1 and once with --threads 2, each in its own directory under
 OUT_DIR/threads<k>/<label>/, which is also the run's working directory.
 Standard output and the exit code of each run are saved next to the files
-the run wrote.  Budgets exceed one 65,536
-sample batch, so batch merging and the threaded quadrature path both run.
+the run wrote.  Budgets exceed one 65,536 sample batch, so batch merging
+and the threaded quadrature path both run.
 
 Run it from two checkouts and compare the trees with ``diff -r``: a refactor
 that keeps every result must leave the diff empty.  The package is imported
@@ -30,7 +30,11 @@ COMMANDS = {
     "constants": ["constants", "--n", "1,2", "--m", "3,4", "--budget", BUDGET],
     "deriv-laplace": ["deriv-check", "--op", "laplace", "--r", "0.2",
                       "--fields", "2", "--budget", BUDGET],
+    "deriv-laplace-3": ["deriv-check", "--op", "laplace", "--n", "3",
+                        "--r", "0.2", "--fields", "2", "--budget", BUDGET],
     "deriv-heat-1": ["deriv-check", "--op", "heat", "--n", "1", "--r", "0.5",
+                     "--fields", "2", "--budget", BUDGET],
+    "deriv-heat-2": ["deriv-check", "--op", "heat", "--n", "2", "--r", "0.5",
                      "--fields", "2", "--budget", BUDGET],
     "deriv-heat-3": ["deriv-check", "--op", "heat", "--n", "3", "--r", "0.5",
                      "--fields", "2", "--budget", BUDGET],
