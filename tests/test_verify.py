@@ -22,6 +22,133 @@ def test_suite_names_stable():
                            "pmeans")
 
 
+_P_LIST = ("0.25", "0.5", "0.75")
+
+STATEMENT_IDS = {
+    "laplace-thm": [sid for p in _P_LIST for sid in
+                    [f"laplace-thm/cp-positive[p={p}]"]
+                    + [f"laplace-thm/lp-lower[p={p},field={i}]"
+                       for i in range(4)]],
+    "heat-thm": [sid for p in _P_LIST for sid in
+                 [f"heat-thm/cp-positive[p={p}]"]
+                 + [f"heat-thm/lp-lower[p={p},field={i}]" for i in range(4)]],
+    "l1-linear": [
+        "l1-linear/adjoint-constant",
+        "l1-linear/du-at-least-one[xy]", "l1-linear/l1-lower[xy]",
+        "l1-linear/du-at-least-one[xy+x2y2/4]",
+        "l1-linear/l1-lower[xy+x2y2/4]",
+        "l1-linear/du-at-least-one[xy+x3y/6]",
+        "l1-linear/l1-lower[xy+x3y/6]",
+    ],
+    "prop-general": ["prop-general/adjoint-constant"] + [
+        sid for i in range(2) for sid in
+        [f"prop-general/l1-lower[field={i}]"]
+        + [f"prop-general/holder-chain[p={p},field={i}]"
+           for p in ("1", "2", "inf")]],
+    "claims": [
+        "claims/laplace-drop[R=0.1,field=0]",
+        "claims/laplace-drop[R=0.2,field=0]",
+        "claims/laplace-drop[R=0.1,field=1]",
+        "claims/laplace-drop[R=0.2,field=1]",
+        "claims/heat-drop[R=0.3,field=0]",
+        "claims/heat-drop[R=0.3,field=1]",
+    ],
+    "deriv-formulas": [
+        "deriv/ball-average-quadratic",
+        "deriv/ball-rhs-quadratic",
+        "deriv/ball-fd-vs-rhs[r=0.1,field=0]",
+        "deriv/ball-fd-vs-rhs[r=0.2,field=0]",
+        "deriv/ball-fd-vs-rhs[r=0.1,field=1]",
+        "deriv/ball-fd-vs-rhs[r=0.2,field=1]",
+        "deriv/heatball-normalization[n=1]",
+        "deriv/heatball-normalization[n=2]",
+        "deriv/heatball-neg-time-value",
+        "deriv/heatball-neg-time-rhs",
+        "deriv/heatball-fd-vs-rhs[field=0]",
+        "deriv/heatball-fd-vs-rhs[field=1]",
+        "deriv/temperature-rhs-zero",
+        "deriv/family-continuity",
+    ],
+    "mvi-family": [
+        "mvi/plain-harmonic",
+        "mvi/plain-halved-constant-fails",
+        "mvi/power[p=0.25]",
+        "mvi/power[p=0.5]",
+        "mvi/power[p=0.75]",
+        "mvi/power-tiny-constant-fails",
+        "mvi/pmvi-constant-closed-form",
+        "mvi/concave-constant-closed-form",
+        "mvi/admissible-pairs-inside-domain",
+        "mvi/concave[sqrt]",
+        "mvi/concave[identity]",
+        "mvi/concave[t^0.75]",
+        "mvi/modified-normalization",
+        "mvi/modified-caloric",
+        "mvi/modified-subtemperature",
+        "mvi/modified-tenth-constant-fails",
+    ],
+    "constants-audit": (
+        [f"constants/k-laplace[n={n}]" for n in (1, 2, 3)]
+        + [f"constants/heatball-volume[n={n}]" for n in (1, 2, 3)]
+        + ["constants/heatball-volume-n1-regression",
+           "constants/heatball-scaling",
+           "constants/k-heat[n=1]",
+           "constants/k-heat[n=2]",
+           "constants/k-heat-n1-regression",
+           "constants/kappa-boundary-zero"]
+        + [f"constants/kappa-max[m={m},n={n}]"
+           for m in (3, 4, 5, 6) for n in (1, 2, 3)]
+        + ["constants/golden-max-known-argmax",
+           "constants/adjoint-laplace",
+           "constants/adjoint-scaling",
+           "constants/assemble-laplace-positive",
+           "constants/assemble-heat-positive",
+           "constants/table-shape"]),
+    "counterexamples": [
+        "ce/comb-measure[delta=1/4]",
+        "ce/comb-measure[delta=1/8]",
+        "ce/comb-measure[delta=1/16]",
+        "ce/comb-measure[delta=1/32]",
+        "ce/comb-separation",
+        "ce/target-bound",
+        "ce/fit-residual-monotone",
+        "ce/witness",
+        "ce/steinerberger-product",
+        "ce/hessian-family[N=10]",
+        "ce/hessian-family[N=100]",
+        "ce/hessian-family[N=1000]",
+        "ce/hessian-family-sup-decade",
+        "ce/lift[p=1]",
+        "ce/lift[p=2]",
+    ],
+    "pmeans": [
+        "pmeans/grid-monotone",
+        "pmeans/reciprocal",
+        "pmeans/chebyshev",
+        "pmeans/geometric-mean-x",
+        "pmeans/negative-mean[x^1]",
+        "pmeans/divergent[x^1]",
+        "pmeans/negative-mean[x^2]",
+        "pmeans/divergent[x^2]",
+        "pmeans/negative-mean[x^3]",
+        "pmeans/divergent[x^3]",
+        "pmeans/zero-field-geometric",
+        "pmeans/sublevel-to-pmean",
+        "pmeans/pmean-to-sublevel",
+    ],
+}
+
+
+def test_statement_ids_pinned():
+    # no refactor may drop, add, rename or reorder a check
+    assert tuple(STATEMENT_IDS) == SUITE_NAMES
+    cfg = {"budget": 2000, "trials": 20, "samples": 64}
+    for name in SUITE_NAMES:
+        got = [c.statement for c in run_suite(name, cfg).checks]
+        assert got == STATEMENT_IDS[name], name
+    assert sum(len(ids) for ids in STATEMENT_IDS.values()) == 140
+
+
 def test_unknown_suite_raises():
     with pytest.raises(ValueError):
         run_suite("no-such-suite")
