@@ -53,7 +53,7 @@ from .quadrature import (
     measure,
     pmean,
     pmean_grid,
-    lp_quasinorm,
+    agreement,
     box_gauss,
 )
 from .averages import (

@@ -266,7 +266,10 @@ def assemble_ccw_witness(delta, degree: int, samples_per_rect: int = 64,
 
     Returns the witness field and the numbers backing the sublevel claim:
     tau = residual + delta + delta^2/8 bounds |u| on the comb, so the
-    sublevel set {|u| <= tau} has measure at least the comb's.
+    sublevel set {|u| <= tau} has measure at least the comb's.  passed is
+    the verdict: Delta u = 1 to 1e-8, |u| <= tau on a grid over the comb,
+    and the upper 3-SE bound of the sublevel measure at least the comb's,
+    with sublevel_slack the room in that last inequality.
     """
     comb = build_comb(delta)
     target = ccw_target(comb)
@@ -287,12 +290,15 @@ def assemble_ccw_witness(delta, degree: int, samples_per_rect: int = 64,
         g = _rect_grid(rect, 80, 20)
         if np.max(np.abs(u.fn(g))) > tau * (1.0 + 1e-9):
             comb_grid_ok = False
+    sub_hi = sub.ci()[1]
+    passed = (lap_err <= 1e-8 and sub_hi >= comb.measure and comb_grid_ok)
     return {"comb": comb, "fit": fit, "field": u, "tau": tau,
             "residual": fit.residual_sup, "target_bound": target.bound,
             "laplacian_max_err": lap_err, "sublevel_measure": sub.value,
             "sublevel_se": sub.std_error, "comb_measure": comb.measure,
             "comb_grid_within_tau": comb_grid_ok, "degree": degree,
-            "delta": float(comb.delta), "seed": seed}
+            "delta": float(comb.delta), "seed": seed, "passed": passed,
+            "sublevel_slack": sub_hi - comb.measure}
 
 
 def hessian_family_check(N: float, c: float, grid: int = 64) -> dict:
@@ -340,7 +346,7 @@ def lift_check(u, omega2: Box, p: float, c: float, budget: int = 100_000,
     res = integrate(lambda pts: np.abs(np.asarray(fn(pts[:, :d1]))) ** p,
                     product, budget=budget, seed=seed)
     lifted = res.value ** (1.0 / p) if res.value > 0 else 0.0
-    guarded = (res.value + 3.0 * res.std_error) ** (1.0 / p)
+    guarded = res.ci()[1] ** (1.0 / p)
     bound = c * omega2.measure ** (1.0 / p)
     return {"lifted": lifted, "lifted_guarded": guarded, "bound": bound,
             "passed": guarded >= bound, "p": p, "c": c,

@@ -5,6 +5,7 @@ fixed-size batches, each with its own SeedSequence substream, and batch
 statistics are merged in batch order, so results are identical for a given
 (seed, budget) regardless of thread count.  integrate and measure run it on
 uniform draws in the region's bounding box, rejected by membership.
+QuadResult.ci and agreement hold the package's one 3-standard-error rule.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ __all__ = [
     "measure",
     "pmean",
     "pmean_grid",
-    "lp_quasinorm",
+    "agreement",
     "box_gauss",
 ]
 
@@ -45,9 +46,10 @@ class QuadResult:
     method: str
     refine_diff: float | None = None
 
-    def ci(self, width: float = 3.0) -> tuple[float, float]:
-        return (self.value - width * self.std_error,
-                self.value + width * self.std_error)
+    def ci(self) -> tuple[float, float]:
+        """(value - 3 SE, value + 3 SE): the one-sided 3-SE bounds."""
+        band = 3.0 * self.std_error
+        return (self.value - band, self.value + band)
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,23 @@ class PMeanReport:
     std_error: float
     samples: int
     method: str
+
+
+def agreement(est, target, floor: float = 0.0) -> tuple[float, float]:
+    """(diff, tol) of the two-sided 3-standard-error rule: est agrees with
+    target when diff <= tol, and tol - diff is the slack.
+
+    diff = |est.value - target| and tol = max(3 SE, floor).  target is a
+    float or another estimate; for an estimate SE combines both standard
+    errors in quadrature.  Only .value and .std_error are read, so
+    QuadResult and PMeanReport both qualify.  A NaN value fails.
+    """
+    if hasattr(target, "std_error"):
+        se = math.hypot(est.std_error, target.std_error)
+        target = target.value
+    else:
+        se = est.std_error
+    return abs(est.value - target), max(3.0 * se, floor)
 
 
 def _batch_plan(budget: int) -> list[int]:
@@ -117,6 +136,13 @@ def mc_mean(draw, budget: int, seed: int, method: str,
     return QuadResult(value=mean, std_error=se, samples=n, method=method)
 
 
+def _not_nan(vals):
+    """vals, or ValueError if one is NaN: a NaN integrand fails closed."""
+    if np.any(np.isnan(vals)):
+        raise ValueError("integrand is NaN at an accepted sample")
+    return vals
+
+
 def _box_rejection_mean(region, values, budget: int, seed: int,
                         threads: int) -> QuadResult:
     """Mean over the region's bounding box of |box| values(p) at members,
@@ -131,7 +157,7 @@ def _box_rejection_mean(region, values, budget: int, seed: int,
         vals = np.zeros(count)
         if np.any(member):
             hits.append(True)
-            vals[member] = values(pts[member])
+            vals[member] = _not_nan(values(pts[member]))
         return vals * boxvol
 
     res = mc_mean(draw, budget, seed, "mc-rejection", threads)
@@ -145,7 +171,8 @@ def integrate(f, region, budget: int = 100_000, seed: int = 0,
     """Rejection Monte Carlo integral of f over the region.
 
     f is a vectorized callable (N, d) -> (N,); it is evaluated only at
-    accepted points.  Raises EmptyRegionError if no draw is accepted.
+    accepted points.  Raises EmptyRegionError if no draw is accepted and
+    ValueError if f is NaN at an accepted point.
     """
     fn = f.fn if hasattr(f, "fn") else f
     return _box_rejection_mean(
@@ -183,7 +210,8 @@ def _accepted_values(f, region, counts: list[int], seed: int) -> list[np.ndarray
             pts = box.sample(take, rng)
             member = np.atleast_1d(region.contains(pts))
             if np.any(member):
-                chunks.append(np.abs(np.asarray(fn(pts[member]), dtype=float)))
+                chunks.append(np.abs(_not_nan(
+                    np.asarray(fn(pts[member]), dtype=float))))
             left -= take
         groups.append(np.concatenate(chunks) if chunks else np.empty(0))
     return groups
@@ -225,16 +253,9 @@ def pmean(f, region, p: float, budget: int = 100_000, seed: int = 0) -> PMeanRep
     in every doubling batch reports exactly 0).  p < 0 runs the truncated
     doubling test and reports value 0 with divergent=True when the sample
     mean of |f|^p keeps growing.  p = +-inf are sampled sup/inf of |f|.
+    A NaN value of f at an accepted point raises ValueError.
     """
-    if budget < 1000:
-        raise ValueError("budget too small for a p-mean (need >= 1000)")
-    n1 = budget // 7
-    counts = [n1, 2 * n1, budget - 3 * n1]
-    groups = _accepted_values(f, region, counts, seed)
-    total = int(sum(len(g) for g in groups))
-    if total == 0:
-        raise EmptyRegionError("no sample landed in the region")
-    return _pmean_from_groups(groups, p, total)
+    return pmean_grid(f, region, [p], budget, seed)[0]
 
 
 def _pmean_from_groups(groups: list[np.ndarray], p: float,
@@ -293,34 +314,6 @@ def pmean_grid(f, region, ps, budget: int = 100_000,
     if total == 0:
         raise EmptyRegionError("no sample landed in the region")
     return [_pmean_from_groups(groups, float(p), total) for p in ps]
-
-
-def lp_quasinorm(f, region, p: float, budget: int = 100_000, seed: int = 0,
-                 grid: int = 65) -> float:
-    """Unnormalized ||f||_{L^p} = (integral |f|^p)^{1/p}; sup scan at p = inf."""
-    fn = f.fn if hasattr(f, "fn") else f
-    if math.isinf(p):
-        if p < 0:
-            raise ValueError("p = -inf is not a quasinorm")
-        box = region.bounding_box()
-        best = 0.0
-        groups = _accepted_values(f, region, [budget], seed)
-        if len(groups[0]):
-            best = float(np.max(groups[0]))
-        axes = [np.linspace(lo, hi, grid) for lo, hi in zip(box.lo, box.hi)]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        pts = mesh.reshape(-1, box.dim)
-        member = np.atleast_1d(region.contains(pts))
-        if np.any(member):
-            best = max(best, float(np.max(np.abs(fn(pts[member])))))
-        return best
-    if p == 0.0:
-        raise ValueError("p = 0 has no unnormalized quasinorm")
-    res = integrate(lambda pts: np.abs(np.asarray(fn(pts), dtype=float)) ** p,
-                    region, budget=budget, seed=seed)
-    if res.value <= 0.0:
-        return 0.0
-    return res.value ** (1.0 / p)
 
 
 def box_gauss(f, box, nodes: int = 16) -> QuadResult:

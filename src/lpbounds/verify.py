@@ -32,7 +32,8 @@ from .fields import (
     laplacian_operator,
     mixed_xy_operator,
 )
-from .quadrature import integrate, measure, pmean, pmean_grid, box_gauss
+from .quadrature import (integrate, measure, pmean, pmean_grid, box_gauss,
+                         agreement)
 from .averages import (
     SMAX,
     ball_average,
@@ -168,14 +169,17 @@ def _const_field(value: float, dim: int, domain: Box | None = None) -> ScalarFie
 
 
 def _guarded_norm(u, region, p: float, budget: int, seed: int,
-                  threads: int = 1) -> tuple[float, float]:
-    """((integral + 3 SE)^{1/p}, point value) upper confidence quasinorm."""
-    fn = u.fn if hasattr(u, "fn") else u
-    res = integrate(lambda pts: np.abs(np.asarray(fn(pts))) ** p, region,
+                  threads: int = 1) -> float:
+    """(integral of |u|^p + 3 SE)^{1/p}, an upper confidence quasinorm."""
+    res = integrate(lambda pts: np.abs(np.asarray(u.fn(pts))) ** p, region,
                     budget=budget, seed=seed, threads=threads)
-    hi = max(res.value + 3.0 * res.std_error, 0.0)
-    val = max(res.value, 0.0)
-    return hi ** (1.0 / p), val ** (1.0 / p) if val > 0 else 0.0
+    return max(res.ci()[1], 0.0) ** (1.0 / p)
+
+
+def _agree(sid: str, seed: int, est, target, floor: float = 0.0) -> CheckResult:
+    """est agrees with target by quadrature.agreement; margin tol - diff."""
+    diff, tol = agreement(est, target, floor)
+    return CheckResult(sid, diff <= tol, tol - diff, seed)
 
 
 # --- suites -----------------------------------------------------------------
@@ -195,8 +199,8 @@ def _suite_laplace_thm(cfg) -> list[CheckResult]:
             sid = f"laplace-thm/lp-lower[p={p:g},field={i}]"
             seed = _seed_for(cfg["seed"], sid)
             u = random_laplace_one(seed, domain=square)
-            hi, _ = _guarded_norm(u, square, p, cfg["budget"], seed,
-                                  cfg["threads"])
+            hi = _guarded_norm(u, square, p, cfg["budget"], seed,
+                               cfg["threads"])
             out.append(CheckResult(sid, hi >= cp, hi - cp, seed))
     return out
 
@@ -215,8 +219,8 @@ def _suite_heat_thm(cfg) -> list[CheckResult]:
             sid = f"heat-thm/lp-lower[p={p:g},field={i}]"
             seed = _seed_for(cfg["seed"], sid)
             u = random_heat_one(seed, n=1, domain=square)
-            hi, _ = _guarded_norm(u, square, p, cfg["budget"], seed,
-                                  cfg["threads"])
+            hi = _guarded_norm(u, square, p, cfg["budget"], seed,
+                               cfg["threads"])
             out.append(CheckResult(sid, hi >= cp, hi - cp, seed))
     return out
 
@@ -254,9 +258,9 @@ def _suite_l1_linear(cfg) -> list[CheckResult]:
                         budget=cfg["budget"], seed=seed,
                         threads=cfg["threads"])
         gauss = box_gauss(lambda pts: np.abs(u.fn(pts)), square)
-        agree = abs(res.value - gauss.value) <= max(3.0 * res.std_error, 1e-6)
-        hi = res.value + 3.0 * res.std_error
-        out.append(CheckResult(sid, hi >= c and agree, hi - c, seed))
+        diff, tol = agreement(res, gauss.value, 1e-6)
+        hi = res.ci()[1]
+        out.append(CheckResult(sid, hi >= c and diff <= tol, hi - c, seed))
     return out
 
 
@@ -282,13 +286,13 @@ def _suite_prop_general(cfg) -> list[CheckResult]:
         res = integrate(lambda pts: np.abs(u.fn(pts)), square,
                         budget=cfg["budget"], seed=seed_u,
                         threads=cfg["threads"])
-        hi = res.value + 3.0 * res.std_error
+        hi = res.ci()[1]
         out.append(CheckResult(sid, hi >= c, hi - c, seed_u))
 
         mu = measure(square, lambda pts: np.abs(u.fn(pts)) >= eps,
                      budget=cfg["budget"], seed=seed_u + 1,
                      threads=cfg["threads"])
-        mu_hi = mu.value + 3.0 * mu.std_error
+        mu_hi = mu.ci()[1]
         sup = dense_box_sup(u, square, interior=96, edge=4097)
         for p in (1.0, 2.0, math.inf):
             sid = f"prop-general/holder-chain[p={p:g},field={i}]"
@@ -296,10 +300,10 @@ def _suite_prop_general(cfg) -> list[CheckResult]:
             if math.isinf(p):
                 lhs = sup * mu_hi
             elif p == 1.0:
-                lhs = res.value + 3.0 * res.std_error
+                lhs = hi
             else:
-                norm_hi, _ = _guarded_norm(u, square, p, cfg["budget"], seed,
-                                           cfg["threads"])
+                norm_hi = _guarded_norm(u, square, p, cfg["budget"], seed,
+                                        cfg["threads"])
                 lhs = norm_hi * mu_hi ** (1.0 - 1.0 / p)
             out.append(CheckResult(sid, lhs >= cprime, lhs - cprime, seed))
     return out
@@ -347,18 +351,12 @@ def _suite_deriv_formulas(cfg) -> list[CheckResult]:
     seed = _seed_for(cfg["seed"], sid)
     sq = quadratic_field(2, coeff=1.0)
     res = ball_average(sq, (0.0, 0.0), 0.3, budget=cfg["budget"], seed=seed)
-    exact = 2 * 0.3**2 / 4.0
-    tol = max(3.0 * res.std_error, 1e-9)
-    out.append(CheckResult(sid, abs(res.value - exact) <= tol,
-                           tol - abs(res.value - exact), seed))
+    out.append(_agree(sid, seed, res, 2 * 0.3**2 / 4.0, 1e-9))
 
     sid = "deriv/ball-rhs-quadratic"
     seed = _seed_for(cfg["seed"], sid)
     res = deriv1_rhs(sq, (0.0, 0.0), 0.3, budget=cfg["budget"], seed=seed)
-    exact = 2 * 2 * 0.3 / 4.0
-    tol = max(3.0 * res.std_error, 1e-9)
-    out.append(CheckResult(sid, abs(res.value - exact) <= tol,
-                           tol - abs(res.value - exact), seed))
+    out.append(_agree(sid, seed, res, 2 * 2 * 0.3 / 4.0, 1e-9))
 
     for i in range(max(2, cfg["fields"] // 2)):
         for r in (0.1, 0.2):
@@ -368,10 +366,7 @@ def _suite_deriv_formulas(cfg) -> list[CheckResult]:
             fd = ball_average_fd(u, (0.5, 0.5), r, budget=cfg["budget"],
                                  seed=seed)
             rhs = deriv1_rhs(u, (0.5, 0.5), r, budget=cfg["budget"], seed=seed)
-            diff = abs(fd.value - rhs.value)
-            tol = max(3.0 * math.hypot(fd.std_error, rhs.std_error),
-                      1e-3 * abs(rhs.value))
-            out.append(CheckResult(sid, diff <= tol, tol - diff, seed))
+            out.append(_agree(sid, seed, fd, rhs, 1e-3 * abs(rhs.value)))
 
     for n in (1, 2):
         sid = f"deriv/heatball-normalization[n={n}]"
@@ -379,25 +374,19 @@ def _suite_deriv_formulas(cfg) -> list[CheckResult]:
         one = _const_field(1.0, n + 1)
         res = heatball_average(one, (0.0,) * (n + 1), 0.7,
                                budget=cfg["budget"], seed=seed)
-        tol = max(3.0 * res.std_error, 1e-9)
-        out.append(CheckResult(sid, abs(res.value - 1.0) <= tol,
-                               tol - abs(res.value - 1.0), seed))
+        out.append(_agree(sid, seed, res, 1.0, 1e-9))
 
     ipsi = _i_psi(1)
     sid = "deriv/heatball-neg-time-value"
     seed = _seed_for(cfg["seed"], sid)
     nt = neg_time_field(1)
     res = heatball_average(nt, (0.0, 0.0), 1.0, budget=cfg["budget"], seed=seed)
-    tol = max(3.0 * res.std_error, 1e-9)
-    out.append(CheckResult(sid, abs(res.value - ipsi / 2.0) <= tol,
-                           tol - abs(res.value - ipsi / 2.0), seed))
+    out.append(_agree(sid, seed, res, ipsi / 2.0, 1e-9))
 
     sid = "deriv/heatball-neg-time-rhs"
     seed = _seed_for(cfg["seed"], sid)
     res = deriv2_rhs(nt, (0.0, 0.0), 1.0, budget=cfg["budget"], seed=seed)
-    tol = max(3.0 * res.std_error, 1e-9)
-    out.append(CheckResult(sid, abs(res.value - ipsi) <= tol,
-                           tol - abs(res.value - ipsi), seed))
+    out.append(_agree(sid, seed, res, ipsi, 1e-9))
 
     for i in range(2):
         sid = f"deriv/heatball-fd-vs-rhs[field={i}]"
@@ -406,18 +395,13 @@ def _suite_deriv_formulas(cfg) -> list[CheckResult]:
         fd = heatball_average_fd(u, (0.5, 0.9), 0.3, budget=cfg["budget"],
                                  seed=seed)
         rhs = deriv2_rhs(u, (0.5, 0.9), 0.3, budget=cfg["budget"], seed=seed)
-        diff = abs(fd.value - rhs.value)
-        tol = max(3.0 * math.hypot(fd.std_error, rhs.std_error),
-                  1e-3 * abs(rhs.value))
-        out.append(CheckResult(sid, diff <= tol, tol - diff, seed))
+        out.append(_agree(sid, seed, fd, rhs, 1e-3 * abs(rhs.value)))
 
     sid = "deriv/temperature-rhs-zero"
     seed = _seed_for(cfg["seed"], sid)
     w = random_caloric(seed, n=1, domain=square)
     res = deriv2_rhs(w, (0.5, 0.9), 0.3, budget=cfg["budget"], seed=seed)
-    tol = max(3.0 * res.std_error, 1e-12)
-    out.append(CheckResult(sid, abs(res.value) <= tol,
-                           tol - abs(res.value), seed))
+    out.append(_agree(sid, seed, res, 0.0, 1e-12))
 
     sid = "deriv/family-continuity"
     seed = _seed_for(cfg["seed"], sid)
@@ -513,9 +497,7 @@ def _suite_mvi_family(cfg) -> list[CheckResult]:
     one3 = _const_field(1.0, 2)
     res = modified_heatball_average(one3, (0.0, 0.0), 1.0, m=3,
                                     budget=cfg["budget"], seed=seed)
-    tol = max(3.0 * res.std_error, 1e-9)
-    out.append(CheckResult(sid, abs(res.value - 1.0) <= tol,
-                           tol - abs(res.value - 1.0), seed))
+    out.append(_agree(sid, seed, res, 1.0, 1e-9))
 
     sid = "mvi/modified-caloric"
     seed = _seed_for(cfg["seed"], sid)
@@ -559,10 +541,9 @@ def _suite_constants_audit(cfg) -> list[CheckResult]:
         ex = heatball_unit_volume_exact(n)
         qd = heatball_unit_volume_quad(n)
         mc = heatball_unit_volume(n, budget=2 * cfg["budget"], seed=seed)
-        ok = (abs(ex - qd) <= 1e-9 * ex
-              and abs(mc.value - ex) <= max(3.0 * mc.std_error, 1e-12))
-        out.append(CheckResult(sid, ok,
-                               3.0 * mc.std_error - abs(mc.value - ex), seed))
+        chk = _agree(sid, seed, mc, ex, 1e-12)
+        out.append(CheckResult(sid, abs(ex - qd) <= 1e-9 * ex and chk.passed,
+                               chk.margin, seed))
 
     sid = "constants/heatball-volume-n1-regression"
     ex1 = heatball_unit_volume_exact(1)
@@ -575,10 +556,7 @@ def _suite_constants_audit(cfg) -> list[CheckResult]:
 
     mc2 = measure(Heatball((0.0, 0.0), 2.0), budget=2 * cfg["budget"],
                   seed=seed)
-    want = 2.0**3 * ex1
-    ok = abs(mc2.value - want) <= 3.0 * mc2.std_error
-    out.append(CheckResult(sid, ok,
-                           3.0 * mc2.std_error - abs(mc2.value - want), seed))
+    out.append(_agree(sid, seed, mc2, 2.0**3 * ex1))
 
     for n in (1, 2):
         sid = f"constants/k-heat[n={n}]"
@@ -713,13 +691,7 @@ def _suite_counterexamples(cfg) -> list[CheckResult]:
     seed = _seed_for(seed0, sid)
     wit = assemble_ccw_witness(Fraction(1, 8), degree=12, seed=seed,
                                budget=2 * cfg["budget"])
-    sub_ok = (wit["sublevel_measure"] + 3.0 * wit["sublevel_se"]
-              >= wit["comb_measure"])
-    ok = (wit["laplacian_max_err"] <= 1e-8 and sub_ok
-          and wit["comb_grid_within_tau"])
-    out.append(CheckResult(sid, ok, wit["sublevel_measure"]
-                           + 3.0 * wit["sublevel_se"] - wit["comb_measure"],
-                           seed))
+    out.append(CheckResult(sid, wit["passed"], wit["sublevel_slack"], seed))
 
     sid = "ce/steinerberger-product"
     seed = _seed_for(seed0, sid)
@@ -732,7 +704,7 @@ def _suite_counterexamples(cfg) -> list[CheckResult]:
     sup = dense_box_sup(u, square, interior=96, edge=4097)
     mu = measure(square, lambda pts: np.abs(u.fn(pts)) >= epsv,
                  budget=cfg["budget"], seed=seed)
-    lhs = sup * (mu.value + 3.0 * mu.std_error)
+    lhs = sup * mu.ci()[1]
     out.append(CheckResult(sid, lhs >= cpr, lhs - cpr, seed))
 
     sups = {}
@@ -755,10 +727,9 @@ def _suite_counterexamples(cfg) -> list[CheckResult]:
         sid = f"ce/lift[p={p:g}]"
         seed = _seed_for(seed0, sid)
         base = random_laplace_one(seed, domain=square)
-        _, point = _guarded_norm(base, square, p, cfg["budget"], seed)
         lo = integrate(lambda pts: np.abs(base.fn(pts)) ** p, square,
                        budget=cfg["budget"], seed=seed)
-        c = max(lo.value - 3.0 * lo.std_error, 0.0) ** (1.0 / p) * 0.999
+        c = max(lo.ci()[0], 0.0) ** (1.0 / p) * 0.999
         om2 = Box((0.0,), (1.0,))
         rep = lift_check(base, om2, p, c, budget=2 * cfg["budget"], seed=seed)
         two = Box((0.0,), (2.0,))
@@ -805,18 +776,15 @@ def _suite_pmeans(cfg) -> list[CheckResult]:
     epsv = 0.05
     mu = measure(square, lambda pts: np.abs(u.fn(pts)) >= epsv, budget=budget,
                  seed=seed)
-    mu_lo = max(mu.value - 3.0 * mu.std_error, 0.0)
-    norm_hi, _ = _guarded_norm(u, square, 2.0, budget, seed)
+    mu_lo = max(mu.ci()[0], 0.0)
+    norm_hi = _guarded_norm(u, square, 2.0, budget, seed)
     lhs = epsv * mu_lo ** 0.5
     out.append(CheckResult(sid, lhs <= norm_hi, norm_hi - lhs, seed))
 
     sid = "pmeans/geometric-mean-x"
     seed = _seed_for(seed0, sid)
     rep = pmean(monomial_field(1).fn, interval, 0.0, budget=budget, seed=seed)
-    want = math.exp(-1.0)
-    tol = max(3.0 * rep.std_error, 1e-4)
-    out.append(CheckResult(sid, abs(rep.value - want) <= tol,
-                           tol - abs(rep.value - want), seed))
+    out.append(_agree(sid, seed, rep, math.exp(-1.0), 1e-4))
 
     for k in (1, 2, 3):
         sid = f"pmeans/negative-mean[x^{k}]"
@@ -824,9 +792,9 @@ def _suite_pmeans(cfg) -> list[CheckResult]:
         rep = pmean(monomial_field(k).fn, interval, -1.0 / (2.0 * k),
                     budget=budget, seed=seed)
         want = 2.0 ** (-2.0 * k)
-        tol = max(3.0 * rep.std_error, 0.02 * want)
-        ok = not rep.divergent and abs(rep.value - want) <= tol
-        out.append(CheckResult(sid, ok, tol - abs(rep.value - want), seed))
+        chk = _agree(sid, seed, rep, want, 0.02 * want)
+        out.append(CheckResult(sid, not rep.divergent and chk.passed,
+                               chk.margin, seed))
 
         sid = f"pmeans/divergent[x^{k}]"
         seed = _seed_for(seed0, sid)
@@ -845,10 +813,9 @@ def _suite_pmeans(cfg) -> list[CheckResult]:
     seed = _seed_for(seed0, sid)
     bound = sublevel_to_pmean_bound(1.0, 1.0, -0.5, 1.0)
     rep = pmean(monomial_field(1).fn, interval, -0.5, budget=budget, seed=seed)
-    ok = (not rep.divergent
-          and rep.value + 3.0 * rep.std_error >= bound > 0.0)
-    out.append(CheckResult(sid, ok,
-                           rep.value + 3.0 * rep.std_error - bound, seed))
+    hi = rep.value + 3.0 * rep.std_error
+    out.append(CheckResult(sid, not rep.divergent and hi >= bound > 0.0,
+                           hi - bound, seed))
 
     sid = "pmeans/pmean-to-sublevel"
     seed = _seed_for(seed0, sid)
@@ -857,9 +824,8 @@ def _suite_pmeans(cfg) -> list[CheckResult]:
     cap = pmean_to_sublevel_bound(cval, -0.5, 1.0, epsv)
     mu = measure(interval, lambda pts: np.abs(pts[:, 0]) <= epsv,
                  budget=budget, seed=seed)
-    ok = mu.value - 3.0 * mu.std_error <= cap
-    out.append(CheckResult(sid, ok, cap - (mu.value - 3.0 * mu.std_error),
-                           seed))
+    lo = mu.ci()[0]
+    out.append(CheckResult(sid, lo <= cap, cap - lo, seed))
     return out
 
 

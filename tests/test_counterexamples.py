@@ -125,7 +125,10 @@ def test_assemble_ccw_witness():
     out = assemble_ccw_witness(Fraction(1, 8), degree=12, budget=100_000)
     assert out["laplacian_max_err"] <= 1e-8
     assert out["comb_grid_within_tau"]
-    assert out["sublevel_measure"] + 3 * out["sublevel_se"] >= out["comb_measure"]
+    hi = out["sublevel_measure"] + 3 * out["sublevel_se"]
+    assert hi >= out["comb_measure"]
+    assert out["passed"]
+    assert out["sublevel_slack"] == hi - out["comb_measure"]
     assert 0 < out["tau"] < 0.5
     assert out["field"].domain == Box((0.0, 0.0), (1.0, 1.0))
     assert out["tau"] == pytest.approx(out["residual"] + out["target_bound"])

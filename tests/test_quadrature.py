@@ -8,10 +8,11 @@ from lpbounds.geometry import Box, EuclideanBall
 from lpbounds.fields import monomial_field, polynomial_field, ScalarField
 from lpbounds.quadrature import (
     EmptyRegionError,
+    PMeanReport,
     QuadResult,
+    agreement,
     box_gauss,
     integrate,
-    lp_quasinorm,
     measure,
     pmean,
     pmean_grid,
@@ -79,7 +80,31 @@ def test_integrate_bad_budget():
 def test_quadresult_ci():
     r = QuadResult(value=1.0, std_error=0.1, samples=10, method="mc-rejection")
     assert r.ci() == (0.7, 1.3)
-    assert r.ci(1.0) == (0.9, 1.1)
+
+
+def test_agreement_three_standard_errors():
+    est = QuadResult(value=1.0, std_error=0.1, samples=10, method="mc")
+    diff, tol = agreement(est, 1.25)
+    assert diff == 0.25 and tol == 3.0 * 0.1 and diff <= tol
+    # an estimate target combines both standard errors in quadrature, and
+    # a PMeanReport reads the same way as a QuadResult
+    other = PMeanReport(p=1.0, value=1.5, divergent=False, std_error=0.2,
+                        samples=10, method="mc")
+    diff, tol = agreement(est, other)
+    assert diff == 0.5
+    assert tol == 3.0 * math.hypot(0.1, 0.2)
+    assert diff <= tol
+    # the floor wins when 3 SE is smaller
+    diff, tol = agreement(est, 1.5, floor=0.6)
+    assert tol == 0.6 and diff <= tol
+    assert agreement(est, 1.5, floor=0.4)[1] == 0.4
+    # a NaN estimate never agrees, nor does one with a NaN standard error
+    nan = QuadResult(value=math.nan, std_error=0.1, samples=10, method="mc")
+    diff, tol = agreement(nan, 1.0, floor=1e9)
+    assert not diff <= tol
+    nan_se = QuadResult(value=1.0, std_error=math.nan, samples=10, method="mc")
+    diff, tol = agreement(nan_se, 1.0, floor=1e9)
+    assert not diff <= tol
 
 
 # p-means of f(x) = x on (0, 1): closed forms for every regime.
@@ -163,16 +188,22 @@ def test_pmean_reciprocal_product_is_one():
     assert abs(a.value * b.value - 1.0) <= 1e-10
 
 
-def test_lp_quasinorm_values():
-    # ||x||_2 on (0,1) is sqrt(1/3); sup is the corner value 1
-    v2 = lp_quasinorm(monomial_field(1), UNIT, 2.0, budget=200_000, seed=1)
-    assert abs(v2 - math.sqrt(1.0 / 3.0)) <= 3e-3
-    vs = lp_quasinorm(monomial_field(1), UNIT, math.inf, budget=10_000, seed=1)
-    assert vs == 1.0
-    with pytest.raises(ValueError):
-        lp_quasinorm(monomial_field(1), UNIT, 0.0)
-    with pytest.raises(ValueError):
-        lp_quasinorm(monomial_field(1), UNIT, -math.inf)
+_NAN = ScalarField(2, lambda pts: np.full(len(pts), np.nan), domain=SQUARE,
+                   name="all-nan")
+
+_NAN_CALLS = {
+    "integrate": lambda: integrate(_NAN, SQUARE, budget=1000),
+    "pmean[p=-0.5]": lambda: pmean(_NAN, SQUARE, -0.5, budget=1000),
+    "pmean[p=0.5]": lambda: pmean(_NAN, SQUARE, 0.5, budget=1000),
+    "pmean_grid[p=0]": lambda: pmean_grid(_NAN, SQUARE, [0.0], budget=1000),
+}
+
+
+@pytest.mark.parametrize("name", list(_NAN_CALLS))
+def test_nan_integrand_raises(name):
+    # these returned NaN, a divergent 0 or a clamped 0 instead of failing
+    with pytest.raises(ValueError, match="NaN"):
+        _NAN_CALLS[name]()
 
 
 def test_box_gauss_exact_on_polynomials():
