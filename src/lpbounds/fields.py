@@ -303,8 +303,9 @@ def bump_function(center: Sequence[float], radius: float) -> ScalarField:
                        params={"center": tuple(c), "radius": r})
 
 
-def _log_kernel_derivs(pts, src, n):
-    """Value, gradient and hessian of u = Phi_n(y - x0, s - t0), u = 0 for s <= t0."""
+def _log_kernel_derivs(pts, src, n, order):
+    """u = Phi_n(y - x0, s - t0), u = 0 for s <= t0, with the gradient of
+    log u if order >= 1 and its hessian if order == 2 (else None)."""
     y = pts[:, :n] - np.asarray(src[:n])
     tau = pts[:, -1] - src[-1]
     ok = tau > 0
@@ -312,16 +313,19 @@ def _log_kernel_derivs(pts, src, n):
     rho2 = np.sum(y**2, axis=1)
     logu = -0.5 * n * np.log(4.0 * math.pi * taus) - rho2 / (4.0 * taus)
     u = np.where(ok, np.exp(logu), 0.0)
-    # dg: gradient of log u; columns y_1..y_n then tau
-    dg = np.empty((len(pts), n + 1))
-    dg[:, :n] = -y / (2.0 * taus[:, None])
-    dg[:, n] = -0.5 * n / taus + rho2 / (4.0 * taus**2)
-    hg = np.zeros((len(pts), n + 1, n + 1))
-    idx = np.arange(n)
-    hg[:, idx, idx] = (-1.0 / (2.0 * taus))[:, None]
-    hg[:, :n, n] = y / (2.0 * taus[:, None] ** 2)
-    hg[:, n, :n] = hg[:, :n, n]
-    hg[:, n, n] = 0.5 * n / taus**2 - rho2 / (2.0 * taus**3)
+    dg = hg = None
+    if order >= 1:
+        # dg: gradient of log u; columns y_1..y_n then tau
+        dg = np.empty((len(pts), n + 1))
+        dg[:, :n] = -y / (2.0 * taus[:, None])
+        dg[:, n] = -0.5 * n / taus + rho2 / (4.0 * taus**2)
+    if order >= 2:
+        hg = np.zeros((len(pts), n + 1, n + 1))
+        idx = np.arange(n)
+        hg[:, idx, idx] = (-1.0 / (2.0 * taus))[:, None]
+        hg[:, :n, n] = y / (2.0 * taus[:, None] ** 2)
+        hg[:, n, :n] = hg[:, :n, n]
+        hg[:, n, n] = 0.5 * n / taus**2 - rho2 / (2.0 * taus**3)
     return u, dg, hg, ok
 
 
@@ -337,14 +341,14 @@ def heat_kernel_field(n: int, source: Sequence[float],
         raise ValueError("source must have n spatial coordinates plus time")
 
     def fn(pts):
-        return _log_kernel_derivs(pts, src, n)[0]
+        return _log_kernel_derivs(pts, src, n, 0)[0]
 
     def grad_fn(pts):
-        u, dg, _, ok = _log_kernel_derivs(pts, src, n)
+        u, dg, _, ok = _log_kernel_derivs(pts, src, n, 1)
         return np.where(ok[:, None], u[:, None] * dg, 0.0)
 
     def hess_fn(pts):
-        u, dg, hg, ok = _log_kernel_derivs(pts, src, n)
+        u, dg, hg, ok = _log_kernel_derivs(pts, src, n, 2)
         h = u[:, None, None] * (dg[:, :, None] * dg[:, None, :] + hg)
         return np.where(ok[:, None, None], h, 0.0)
 

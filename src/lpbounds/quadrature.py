@@ -136,10 +136,11 @@ def mc_mean(draw, budget: int, seed: int, method: str,
     return QuadResult(value=mean, std_error=se, samples=n, method=method)
 
 
-def _not_nan(vals):
-    """vals, or ValueError if one is NaN: a NaN integrand fails closed."""
-    if np.any(np.isnan(vals)):
-        raise ValueError("integrand is NaN at an accepted sample")
+def _finite(vals):
+    """vals, or ValueError if one is NaN or infinite: such an integrand
+    fails closed."""
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("integrand is NaN or infinite at an accepted sample")
     return vals
 
 
@@ -157,7 +158,7 @@ def _box_rejection_mean(region, values, budget: int, seed: int,
         vals = np.zeros(count)
         if np.any(member):
             hits.append(True)
-            vals[member] = _not_nan(values(pts[member]))
+            vals[member] = _finite(values(pts[member]))
         return vals * boxvol
 
     res = mc_mean(draw, budget, seed, "mc-rejection", threads)
@@ -172,7 +173,7 @@ def integrate(f, region, budget: int = 100_000, seed: int = 0,
 
     f is a vectorized callable (N, d) -> (N,); it is evaluated only at
     accepted points.  Raises EmptyRegionError if no draw is accepted and
-    ValueError if f is NaN at an accepted point.
+    ValueError if f is NaN or infinite at an accepted point.
     """
     fn = f.fn if hasattr(f, "fn") else f
     return _box_rejection_mean(
@@ -210,7 +211,7 @@ def _accepted_values(f, region, counts: list[int], seed: int) -> list[np.ndarray
             pts = box.sample(take, rng)
             member = np.atleast_1d(region.contains(pts))
             if np.any(member):
-                chunks.append(np.abs(_not_nan(
+                chunks.append(np.abs(_finite(
                     np.asarray(fn(pts[member]), dtype=float))))
             left -= take
         groups.append(np.concatenate(chunks) if chunks else np.empty(0))
@@ -253,7 +254,7 @@ def pmean(f, region, p: float, budget: int = 100_000, seed: int = 0) -> PMeanRep
     in every doubling batch reports exactly 0).  p < 0 runs the truncated
     doubling test and reports value 0 with divergent=True when the sample
     mean of |f|^p keeps growing.  p = +-inf are sampled sup/inf of |f|.
-    A NaN value of f at an accepted point raises ValueError.
+    A NaN or infinite value of f at an accepted point raises ValueError.
     """
     return pmean_grid(f, region, [p], budget, seed)[0]
 

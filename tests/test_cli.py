@@ -2,6 +2,8 @@ import csv
 import json
 import math
 
+import pytest
+
 from lpbounds.cli import main
 
 
@@ -38,6 +40,37 @@ def test_deriv_check_command(tmp_path):
     rows = _rows(tmp_path / "deriv_check.csv")
     assert rows[0][:4] == ["op", "n", "field", "r"]
     assert rows[1][0] == "laplace" and rows[1][-1] == "True"
+
+
+@pytest.mark.parametrize("args, rows", [
+    (["--op", "heat", "--n", "2", "--fields", "3", "--r", "0.3,0.5"], 6),
+    (["--op", "laplace", "--n", "2", "--fields", "2", "--r", "0.1,0.2"], 4),
+])
+def test_deriv_check_same_bytes_at_any_thread_count(tmp_path, args, rows):
+    # --threads 2 runs the fd column on a worker beside the rhs column
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert main(["deriv-check", *args, "--budget", "3000",
+                     "--threads", threads, "--out-dir", str(out)]) in (0, 1)
+        outs.append(_read(out / "deriv_check.csv"))
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) == 1 + rows
+
+
+@pytest.mark.parametrize("radii, message", [
+    ("0.3,5.0", "heat ball escapes the field's domain"),
+    # rhs says "radius must be positive"; a serial run meets fd's error first
+    ("0.3,-0.2", "need 0 < h < r"),
+])
+def test_deriv_check_bad_radius_same_error(tmp_path, capsys, radii, message):
+    for threads in ("1", "2"):
+        code = main(["deriv-check", "--op", "heat", "--n", "1",
+                     "--fields", "2", "--r", radii, "--budget", "2000",
+                     "--threads", threads, "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "deriv_check.csv").exists()
 
 
 def test_mvi_check_overwrites_and_appends(tmp_path):

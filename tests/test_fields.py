@@ -27,6 +27,7 @@ from lpbounds.fields import (
     neg_hessian_det,
     positive_part,
 )
+from lpbounds.fields import _log_kernel_derivs
 from lpbounds.averages import deriv1_rhs, deriv2_rhs
 
 RNG = np.random.default_rng(0)
@@ -126,6 +127,19 @@ def test_heat_kernel_field_caloric_above_source():
     vals = _heat(u, pts)
     assert np.max(np.abs(vals)) <= 1e-9
     _check_derivatives(u, pts, rel=2e-5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_heat_kernel_lower_orders_match_order_two(n):
+    # fn and grad_fn skip the derivatives they do not return, bit for bit
+    src = (0.3,) * n + (-0.4,)
+    u = heat_kernel_field(n, source=src)
+    pts = RNG.uniform(-0.6, 1.0, (300, n + 1))  # some below the pole time
+    v, dg, _, ok = _log_kernel_derivs(pts, src, n, 2)
+    assert not ok.all() and ok.any()
+    assert np.array_equal(u.fn(pts), v)
+    assert np.array_equal(u.grad_fn(pts),
+                          np.where(ok[:, None], v[:, None] * dg, 0.0))
 
 
 def test_ccw_hessian_family_determinant():

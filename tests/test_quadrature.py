@@ -190,20 +190,29 @@ def test_pmean_reciprocal_product_is_one():
 
 _NAN = ScalarField(2, lambda pts: np.full(len(pts), np.nan), domain=SQUARE,
                    name="all-nan")
+_INF = ScalarField(2, lambda pts: np.full(len(pts), np.inf), domain=SQUARE,
+                   name="all-inf")
 
-_NAN_CALLS = {
-    "integrate": lambda: integrate(_NAN, SQUARE, budget=1000),
-    "pmean[p=-0.5]": lambda: pmean(_NAN, SQUARE, -0.5, budget=1000),
-    "pmean[p=0.5]": lambda: pmean(_NAN, SQUARE, 0.5, budget=1000),
-    "pmean_grid[p=0]": lambda: pmean_grid(_NAN, SQUARE, [0.0], budget=1000),
+_NONFINITE_CALLS = {
+    "integrate": lambda f: integrate(f, SQUARE, budget=1000),
+    "pmean[p=-0.5]": lambda f: pmean(f, SQUARE, -0.5, budget=1000),
+    "pmean[p=0.5]": lambda f: pmean(f, SQUARE, 0.5, budget=1000),
+    "pmean_grid[p=0]": lambda f: pmean_grid(f, SQUARE, [0.0], budget=1000),
 }
 
 
-@pytest.mark.parametrize("name", list(_NAN_CALLS))
+@pytest.mark.parametrize("name", list(_NONFINITE_CALLS))
 def test_nan_integrand_raises(name):
     # these returned NaN, a divergent 0 or a clamped 0 instead of failing
     with pytest.raises(ValueError, match="NaN"):
-        _NAN_CALLS[name]()
+        _NONFINITE_CALLS[name](_NAN)
+
+
+@pytest.mark.parametrize("name", list(_NONFINITE_CALLS))
+def test_inf_integrand_raises(name):
+    # these returned inf with a NaN standard error, or a divergent 0
+    with pytest.raises(ValueError, match="infinite"):
+        _NONFINITE_CALLS[name](_INF)
 
 
 def test_box_gauss_exact_on_polynomials():

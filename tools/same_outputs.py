@@ -9,7 +9,9 @@ ccw; pmeans for both families) and every verification suite, once with
 OUT_DIR/threads<k>/<label>/, which is also the run's working directory.
 Standard output and the exit code of each run are saved next to the files
 the run wrote.  Budgets exceed one 65,536 sample batch, so batch merging
-and the threaded quadrature path both run.
+and the threaded quadrature path both run; the heat deriv-check runs have
+six cases over three field kinds, so at --threads 2 their fd and rhs
+columns run side by side.
 
 Run it from two checkouts and compare the trees with ``diff -r``: a refactor
 that keeps every result must leave the diff empty.  The package is imported
@@ -32,12 +34,12 @@ COMMANDS = {
                       "--fields", "2", "--budget", BUDGET],
     "deriv-laplace-3": ["deriv-check", "--op", "laplace", "--n", "3",
                         "--r", "0.2", "--fields", "2", "--budget", BUDGET],
-    "deriv-heat-1": ["deriv-check", "--op", "heat", "--n", "1", "--r", "0.5",
-                     "--fields", "2", "--budget", BUDGET],
-    "deriv-heat-2": ["deriv-check", "--op", "heat", "--n", "2", "--r", "0.5",
-                     "--fields", "2", "--budget", BUDGET],
-    "deriv-heat-3": ["deriv-check", "--op", "heat", "--n", "3", "--r", "0.5",
-                     "--fields", "2", "--budget", BUDGET],
+    "deriv-heat-1": ["deriv-check", "--op", "heat", "--n", "1",
+                     "--r", "0.3,0.5", "--fields", "3", "--budget", BUDGET],
+    "deriv-heat-2": ["deriv-check", "--op", "heat", "--n", "2",
+                     "--r", "0.3,0.5", "--fields", "3", "--budget", BUDGET],
+    "deriv-heat-3": ["deriv-check", "--op", "heat", "--n", "3",
+                     "--r", "0.3,0.5", "--fields", "3", "--budget", BUDGET],
     "mvi-plain": ["mvi-check", "--kind", "plain", "--trials", "100"],
     "mvi-power": ["mvi-check", "--kind", "power", "--trials", "100"],
     "mvi-concave": ["mvi-check", "--kind", "concave", "--trials", "100"],
