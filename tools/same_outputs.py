@@ -4,8 +4,11 @@ Usage: python3 tools/same_outputs.py OUT_DIR
 
 Runs each CLI command (constants; deriv-check for laplace at n = 2 and 3
 and for heat at n = 1, 2 and 3; mvi-check for every kind; counterexample
-ccw; pmeans for both families) and every verification suite, once with
---threads 1 and once with --threads 2, each in its own directory under
+ccw; pmeans for both families) and every verification suite, twice: at its
+defaults with --budget 150000, and at --seed 5 --fields 6 --p 0.3 --budget
+70000, so that a misrouted per-check seed or a wrong field-count loop bound
+changes the output.  Every run is made once with --threads 1 and once with
+--threads 2, each in its own directory under
 OUT_DIR/threads<k>/<label>/, which is also the run's working directory.
 Standard output and the exit code of each run are saved next to the files
 the run wrote.  Budgets exceed one 65,536 sample batch, so batch merging
@@ -66,6 +69,9 @@ def main(argv: list[str]) -> int:
     runs = dict(COMMANDS)
     for name in suite_names():
         runs[f"suite-{name}"] = ["suite", name, "--budget", "150000"]
+        runs[f"suite-{name}-seed5"] = ["suite", name, "--seed", "5",
+                                       "--fields", "6", "--p", "0.3",
+                                       "--budget", BUDGET]
     env = dict(os.environ, PYTHONPATH=SRC)
     for threads in ("1", "2"):
         for label, args in runs.items():
