@@ -46,6 +46,10 @@ _PARAMS: dict[str, dict] = {
               "threads": _CPUS},
 }
 
+# the keys of the suite parameters that make up a verify config
+_SUITE_KEYS = ("p_list", "trials", "samples", "fields", "budget", "seed",
+               "threads")
+
 
 class UsageError(Exception):
     pass
@@ -213,11 +217,8 @@ def _resolve(args: argparse.Namespace) -> dict:
     if cmd == "suite":
         from .verify import default_config
 
-        overrides = {k: resolved[k]
-                     for k in ("p_list", "trials", "samples", "fields",
-                               "budget", "seed", "threads")
-                     if resolved.get(k) is not None}
-        resolved.update(default_config(overrides))
+        # default_config fills the keys left at None
+        resolved.update(default_config({k: resolved[k] for k in _SUITE_KEYS}))
     resolved["command"] = cmd
     resolved["schema_version"] = "1"
     return resolved
@@ -438,11 +439,8 @@ def _cmd_suite(cfg: dict, out_dir: str) -> int:
     name = cfg["suite"]
     if not name:
         raise UsageError("suite name is required")
-    overrides = {k: cfg[k] for k in ("p_list", "trials", "samples", "fields",
-                                     "budget", "seed", "threads")
-                 if cfg.get(k) is not None}
     try:
-        result = run_suite(name, overrides)
+        result = run_suite(name, {k: cfg[k] for k in _SUITE_KEYS})
     except ValueError as exc:
         raise UsageError(str(exc))
     path = os.path.join(out_dir, f"suite_{name}.json")

@@ -3,6 +3,7 @@ import math
 import pathlib
 import zlib
 
+import numpy as np
 import pytest
 
 from lpbounds import averages, constants, counterexamples, verify
@@ -228,6 +229,38 @@ def test_constants_audit_suite_passes():
     res = run_suite("constants-audit", {"budget": 30_000})
     assert res.overall, [c.statement for c in res.failures()]
     assert all(isinstance(c, CheckResult) for c in res.checks)
+
+
+def _small_check(suite: str, statement: str) -> CheckResult:
+    res = run_suite(suite, {"budget": 2000, "trials": 20, "samples": 64})
+    return next(c for c in res.checks if c.statement == statement)
+
+
+def test_target_bound_fails_on_nan_target(monkeypatch):
+    real = verify.ccw_target
+
+    def nan_target(comb):
+        return dataclasses.replace(
+            real(comb), w1=lambda pts: np.full(len(pts), np.nan))
+
+    monkeypatch.setattr(verify, "ccw_target", nan_target)
+    c = _small_check("counterexamples", "ce/target-bound")
+    assert not c.passed and type(c.margin) is float
+
+
+def test_golden_max_check_fails_on_nan_value(monkeypatch):
+    monkeypatch.setattr(verify, "golden_max",
+                        lambda *args, **kwargs: (1.0, math.nan))
+    c = _small_check("constants-audit", "constants/golden-max-known-argmax")
+    assert not c.passed and type(c.margin) is float
+
+
+def test_kappa_boundary_check_fails_on_nan_kernel(monkeypatch):
+    real = verify.kappa
+    monkeypatch.setattr(verify, "kappa", lambda m, n, y, s:
+                        math.nan if s > 0 else real(m, n, y, s))
+    c = _small_check("constants-audit", "constants/kappa-boundary-zero")
+    assert not c.passed and type(c.margin) is float
 
 
 def test_pmeans_suite_passes():
