@@ -31,7 +31,7 @@ from .geometry import (
     unit_ball_volume,
 )
 from .fields import heat_operator, laplacian_operator
-from .quadrature import QuadResult, mc_mean
+from .quadrature import BATCH_SIZE, QuadResult, mc_mean
 
 __all__ = [
     "SMAX",
@@ -423,7 +423,9 @@ def _mvi_harness(kind: str, values_of, sys: BallSystem, constant: float,
     lhs = values_of(np.asarray(a))
     means = np.empty(trials)
     ses = np.empty(trials)
-    chunk = max(1, (4 << 20) // samples)
+    # one BATCH_SIZE-point block of trials at a time; every trial reduces
+    # along its own row, so the block size changes no bit of the report
+    chunk = max(1, BATCH_SIZE // samples)
     for start in range(0, trials, chunk):
         stop = min(start + chunk, trials)
         scales = r[start:stop, None, None] ** lam[None, None, :]

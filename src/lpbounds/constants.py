@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.integrate import quad as _quad
 
 from .geometry import (
     Box,
@@ -89,6 +88,8 @@ def heatball_unit_volume_exact(n: int, kernel_dim: int | None = None) -> float:
 
 def heatball_unit_volume_quad(n: int, kernel_dim: int | None = None) -> float:
     """|E(1)| by adaptive 1-D quadrature of the slice volumes (cross-check)."""
+    from scipy.integrate import quad
+
     d = n if kernel_dim is None else kernel_dim
     vn = unit_ball_volume(n)
 
@@ -97,7 +98,7 @@ def heatball_unit_volume_quad(n: int, kernel_dim: int | None = None) -> float:
             return 0.0
         return vn * (2.0 * d * s * math.log(1.0 / (4.0 * math.pi * s))) ** (n / 2.0)
 
-    val, _ = _quad(slice_vol, 0.0, SMAX, limit=200)
+    val, _ = quad(slice_vol, 0.0, SMAX, limit=200)
     return val
 
 
@@ -240,9 +241,11 @@ def adjoint_constant(D, domain: Box, bump, budget: int = 100_000,
     if not inside:
         raise ValueError("bump support escapes the domain")
 
+    from scipy.integrate import quad
+
     surface = d * unit_ball_volume(d)
-    prof, _ = _quad(lambda t: math.exp(-1.0 / (1.0 - t * t)) * t ** (d - 1),
-                    0.0, 1.0, limit=200)
+    prof, _ = quad(lambda t: math.exp(-1.0 / (1.0 - t * t)) * t ** (d - 1),
+                   0.0, 1.0, limit=200)
     num_closed = radius**d * surface * prof
 
     ball = EuclideanBall(tuple(center), radius)
@@ -251,12 +254,13 @@ def adjoint_constant(D, domain: Box, bump, budget: int = 100_000,
     dstar = D.adjoint()
     axes = [np.linspace(c - radius, c + radius, 96) for c in center]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    den = float(np.max(np.abs(dstar.apply(bump, mesh))))
     rng = np.random.default_rng(seed)
     pts = ball.sample(max(budget // 10, 1024), rng)
-    den = max(den, float(np.max(np.abs(dstar.apply(bump, pts)))))
-    if den <= 0.0:
-        raise ValueError("adjoint sup vanished; degenerate operator")
+    den = float(np.max([np.max(np.abs(dstar.apply(bump, x)))
+                        for x in (mesh, pts)]))
+    if not den > 0.0:
+        raise ValueError(f"adjoint sup is {den!r}, not positive; degenerate "
+                         "operator or non-finite field")
 
     return ConstantReport(
         name=f"adjoint[{D.name}]", closed_form=num_closed / den,

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lpbounds import averages
 from lpbounds.geometry import Box, Heatball, euclidean_system
 from lpbounds.fields import (
     ScalarField,
@@ -217,6 +219,37 @@ def test_check_concave_mvi():
     assert rep.violations == 0
     with pytest.raises(ValueError):
         check_concave_mvi(u, sys2, 1.0, lambda t: t + 1.0, c_phi=2.0, trials=5)
+
+
+_HARNESS_CHECKS = {
+    "check_mvi": lambda u, c: check_mvi(
+        u, euclidean_system(2), c, trials=150, seed=0),
+    "check_pmvi": lambda u, c: check_pmvi(
+        u, euclidean_system(2), c, p=0.5, trials=150, seed=0),
+    "check_concave_mvi": lambda u, c: check_concave_mvi(
+        u, euclidean_system(2), c, np.sqrt, c_phi=4.0, trials=150, seed=0),
+}
+
+
+@pytest.mark.parametrize("name", list(_HARNESS_CHECKS))
+def test_mvi_harness_block_size_invariant(name, monkeypatch):
+    # each trial's mean and SE reduce one row at a time, so the number of
+    # trials evaluated per block must not change a bit of the report.  The
+    # field is positive, so no margin ties at 0, and at seed 0 the worst
+    # trial (125 or 132) lies in the last, ragged block of every block size
+    u = ScalarField(2, lambda pts: 3.0 + pts[:, 0] ** 2 - pts[:, 1] ** 2,
+                    domain=Box((-1.0, -1.0), (1.0, 1.0)))
+    run = _HARNESS_CHECKS[name]
+    reports = []
+    # at 1,024 samples a trial the old 4M-point block holds all 150 trials;
+    # 65,536 points (64 trials) and 7 trials a block leave ragged tails
+    for block in (4 << 20, averages.BATCH_SIZE, 7 * 1024):
+        monkeypatch.setattr(averages, "BATCH_SIZE", block)
+        reports.append(run(u, 0.99 / math.pi))
+    ref = dataclasses.astuple(reports[0])
+    for rep in reports[1:]:
+        assert dataclasses.astuple(rep) == ref
+        assert rep.worst_margin.hex() == reports[0].worst_margin.hex()
 
 
 def test_check_modified_heatball_mvi():

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -183,3 +186,17 @@ def test_config_file_errors_exit_2(tmp_path):
     missing = tmp_path / "nope.json"
     assert main(["pmeans", "--config", str(missing),
                  "--out-dir", str(tmp_path)]) == 2
+
+
+def test_import_loads_no_scipy():
+    # scipy costs about 0.6 s to import, so the few functions that use it
+    # import it on their first call, never at package import
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = ("import sys, lpbounds.cli, lpbounds; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lpbounds.geometry import Box, EuclideanBall, unit_ball_volume
-from lpbounds.fields import bump_function, laplacian_operator
+from lpbounds.fields import LinearOperator, bump_function, laplacian_operator
 from lpbounds.averages import SMAX
 from lpbounds.constants import (
     ConstantReport,
@@ -142,6 +142,23 @@ def test_adjoint_constant_cross_check_and_guards():
     with pytest.raises(ValueError):
         adjoint_constant(D, Box((0.0,) * 3, (1.0,) * 3),
                          bump_function((0.5, 0.5), 0.4))
+
+
+def test_adjoint_constant_fails_closed_on_nan_sup(monkeypatch):
+    # the builtin max() dropped a NaN found at the random sample points, and
+    # `den <= 0` let a NaN through, so the constant came out finite
+    apply = LinearOperator.apply
+
+    def nan_at_one_sample(self, f, p):
+        out = apply(self, f, p)
+        if len(out) != 96 ** 2:  # the random points, not the lattice
+            out[0] = np.nan
+        return out
+
+    monkeypatch.setattr(LinearOperator, "apply", nan_at_one_sample)
+    with pytest.raises(ValueError, match="adjoint sup"):
+        adjoint_constant(laplacian_operator(2), Box((0.0, 0.0), (1.0, 1.0)),
+                         bump_function((0.5, 0.5), 0.4), budget=20_000)
 
 
 def test_adjoint_constant_scaling():

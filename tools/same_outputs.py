@@ -3,8 +3,9 @@
 Usage: python3 tools/same_outputs.py OUT_DIR
 
 Runs each CLI command (constants; deriv-check for laplace at n = 2 and 3
-and for heat at n = 1, 2 and 3; mvi-check for every kind; counterexample
-ccw; pmeans for both families) and every verification suite, twice: at its
+and for heat at n = 1, 2 and 3; mvi-check for every kind, and again for
+each harness kind across block boundaries; counterexample ccw; pmeans for
+both families) and every verification suite, twice: at its
 defaults with --budget 150000, and at --seed 5 --fields 6 --p 0.3 --budget
 70000, so that a misrouted per-check seed or a wrong field-count loop bound
 changes the output.  Every run is made once with --threads 1 and once with
@@ -14,7 +15,12 @@ Standard output and the exit code of each run are saved next to the files
 the run wrote.  Budgets exceed one 65,536 sample batch, so batch merging
 and the threaded quadrature path both run; the heat deriv-check runs have
 six cases over three field kinds, so at --threads 2 their fd and rhs
-columns run side by side.
+columns run side by side.  The MVI harness evaluates 65 trials of 1,000
+samples per 65,536-point block, so the mvi-check runs at 300 trials take
+four full blocks and a ragged fifth of 40 trials.  They run at --seed 2,
+where the plain kind's worst margin is a live trial margin rather than a
+tie at 0.0, so a harness whose results depend on the block size changes
+that row.
 
 Run it from two checkouts and compare the trees with ``diff -r``: a refactor
 that keeps every result must leave the diff empty.  The package is imported
@@ -46,6 +52,12 @@ COMMANDS = {
     "mvi-plain": ["mvi-check", "--kind", "plain", "--trials", "100"],
     "mvi-power": ["mvi-check", "--kind", "power", "--trials", "100"],
     "mvi-concave": ["mvi-check", "--kind", "concave", "--trials", "100"],
+    "mvi-plain-blocks": ["mvi-check", "--kind", "plain", "--trials", "300",
+                         "--samples", "1000", "--seed", "2"],
+    "mvi-power-blocks": ["mvi-check", "--kind", "power", "--trials", "300",
+                         "--samples", "1000", "--seed", "2"],
+    "mvi-concave-blocks": ["mvi-check", "--kind", "concave", "--trials", "300",
+                           "--samples", "1000", "--seed", "2"],
     "mvi-modified": ["mvi-check", "--kind", "modified", "--budget", BUDGET],
     "counterexample": ["counterexample", "ccw", "--budget", BUDGET],
     "pmeans-monomial": ["pmeans", "--family", "monomial", "--budget", BUDGET],
