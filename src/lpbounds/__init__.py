@@ -20,8 +20,6 @@ from .geometry import (
     heatball_shrink,
     system_shrink,
     unit_ball_volume,
-    region_to_dict,
-    region_from_dict,
 )
 from .fields import (
     ScalarField,
@@ -65,7 +63,6 @@ from .averages import (
     deriv2_rhs,
     modified_heatball_average,
     heatball_unit_volume,
-    AverageFamily,
     MviCheckReport,
     pmvi_constant,
     concave_mvi_constant,

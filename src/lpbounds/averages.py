@@ -5,12 +5,17 @@ weighted Laplacian average (1/|B_r|) int (r^2 - |x-y|^2)/(2r) Delta u.
 The heat-ball average is phi(r) = (1/(4 r^n)) int_{E(x,t;r)} u |x-y|^2/(t-s)^2;
 its derivative equals (n/r^{n+1}) int_{E(r)} Hu log(r^n Phi_n).  Both
 derivative identities are evaluated by Monte Carlo in scale-free unit
-coordinates, and the finite-difference cross-checks reuse common random
-numbers so the difference quotient carries an honest per-sample error.
+coordinates, through one sampler per family: _ball_mean draws the unit
+ball and _heatball_mean the unit heat-ball slices.  Each checks the radius
+and that the region fits in the field's domain, then runs mc_mean once.
+_fd turns a per-sample term into the centered difference quotient in the
+radius; both radii share each sample (common random numbers), so the
+quotient carries an honest per-sample error.
 
-MVI checkers sample admissible pairs (a, r): a uniform in the domain and
-r uniform in (0, R(a)] where R is the radius function of the ball system
-on the domain, then test the mean value inequality with a 3-SE guard.
+MVI checkers sample admissible pairs (a, r): a uniform in the Box domain
+and r uniform in (0, R(a)] where R is the radius function of the ball
+system on the domain, then test the mean value inequality with a 3-SE
+guard.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ __all__ = [
     "deriv2_rhs",
     "modified_heatball_average",
     "heatball_unit_volume",
-    "AverageFamily",
     "MviCheckReport",
     "pmvi_constant",
     "concave_mvi_constant",
@@ -60,60 +64,82 @@ __all__ = [
 SMAX = 1.0 / (4.0 * math.pi)
 
 
-def _require_box_inside(inner: Box, outer: Box | None, what: str) -> None:
-    if outer is None:
+def _require_inside(u, box: Box, what: str) -> None:
+    """ValueError unless box lies in u's domain; no domain, no check."""
+    dom = getattr(u, "domain", None)
+    if dom is None:
         return
-    lo_ok = all(a >= b for a, b in zip(inner.lo, outer.lo))
-    hi_ok = all(a <= b for a, b in zip(inner.hi, outer.hi))
+    lo_ok = all(a >= b for a, b in zip(box.lo, dom.lo))
+    hi_ok = all(a <= b for a, b in zip(box.hi, dom.hi))
     if not (lo_ok and hi_ok):
         raise ValueError(f"{what} escapes the field's domain")
 
 
-def _field_fn(u):
-    return u.fn if hasattr(u, "fn") else u
+def _ball_mean(u, x: np.ndarray, reach: float, value, budget: int,
+               seed: int, method: str = "mc-ball") -> QuadResult:
+    """mc_mean of value(z) over uniform draws z of the unit ball.
+
+    Raises unless reach > 0 and the ball B_reach(x) lies in u's domain.
+    """
+    if reach <= 0:
+        raise ValueError("radius must be positive")
+    _require_inside(u, Box(tuple(x - reach), tuple(x + reach)), "ball")
+    d = len(x)
+    return mc_mean(lambda rng, count: value(unit_ball_points(d, count, rng)),
+                   budget, seed, method)
+
+
+def _heatball_mean(u, center: np.ndarray, reach: float, m: int, value,
+                   budget: int, seed: int,
+                   method: str = "mc-slice-importance") -> QuadResult:
+    """mc_mean of value(y, s, w) over unit heat-ball slice samples.
+
+    The slices use the kernel dimension m + n.  Raises unless reach > 0 and
+    the heat ball E_m(center; reach) lies in u's domain (u = None: no check).
+    """
+    if reach <= 0:
+        raise ValueError("radius must be positive")
+    _require_inside(u, Heatball(tuple(center), reach, m).bounding_box(),
+                    "heat ball")
+    n = len(center) - 1
+    return mc_mean(lambda rng, count: value(*_slice_samples(n, m + n, count,
+                                                            rng)),
+                   budget, seed, method)
+
+
+def _fd(term, r: float, h: float):
+    """Per-sample centered difference quotient of term(rr, *sample) in rr.
+
+    Both radii see the same sample (common random numbers), so the standard
+    error is that of the difference quotient itself, not of order 1/h.
+    """
+    if not 0 < h < r:
+        raise ValueError("need 0 < h < r")
+    return lambda *sample: (term(r + h, *sample)
+                            - term(r - h, *sample)) / (2.0 * h)
+
+
+def _ball_term(u, x: np.ndarray):
+    """u at x + rr z for unit-ball samples z."""
+    return lambda rr, z: np.asarray(u.fn(x + rr * z), dtype=float)
 
 
 def ball_average(u, x, r: float, budget: int = 100_000,
                  seed: int = 0) -> QuadResult:
     """avg_{B_r(x)} u by direct uniform sampling of the ball."""
     x = np.asarray(x, dtype=float)
-    d = len(x)
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    dom = getattr(u, "domain", None)
-    _require_box_inside(Box(tuple(x - r), tuple(x + r)), dom, "ball")
-    fn = _field_fn(u)
-
-    def draw(rng, count):
-        return fn(x + r * unit_ball_points(d, count, rng))
-
-    return mc_mean(draw, budget, seed, "mc-ball")
+    term = _ball_term(u, x)
+    return _ball_mean(u, x, r, lambda z: term(r, z), budget, seed)
 
 
 def ball_average_fd(u, x, r: float, h: float | None = None,
                     budget: int = 100_000, seed: int = 0) -> QuadResult:
-    """Centered difference quotient of the ball average in r.
-
-    Both radii reuse the same unit samples (common random numbers), so the
-    reported standard error is that of the per-sample difference quotient.
-    """
+    """Centered difference quotient of the ball average in r."""
     x = np.asarray(x, dtype=float)
-    d = len(x)
     if h is None:
         h = 1e-3 * r
-    if not 0 < h < r:
-        raise ValueError("need 0 < h < r")
-    dom = getattr(u, "domain", None)
-    _require_box_inside(Box(tuple(x - (r + h)), tuple(x + (r + h))), dom, "ball")
-    fn = _field_fn(u)
-
-    def draw(rng, count):
-        z = unit_ball_points(d, count, rng)
-        hi = np.asarray(fn(x + (r + h) * z), dtype=float)
-        lo = np.asarray(fn(x + (r - h) * z), dtype=float)
-        return (hi - lo) / (2.0 * h)
-
-    return mc_mean(draw, budget, seed, "mc-ball-fd")
+    quotient = _fd(_ball_term(u, x), r, h)
+    return _ball_mean(u, x, r + h, quotient, budget, seed, "mc-ball-fd")
 
 
 def deriv1_rhs(u, x, r: float, budget: int = 100_000,
@@ -123,20 +149,14 @@ def deriv1_rhs(u, x, r: float, budget: int = 100_000,
     Uses the field's exact Hessian trace.  Equals d/dr of the ball average.
     """
     x = np.asarray(x, dtype=float)
-    d = len(x)
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    dom = getattr(u, "domain", None)
-    _require_box_inside(Box(tuple(x - r), tuple(x + r)), dom, "ball")
-    laplace = laplacian_operator(d)
+    laplace = laplacian_operator(len(x))
 
-    def draw(rng, count):
-        z = unit_ball_points(d, count, rng)
+    def value(z):
         lap = laplace.apply(u, x + r * z)
         weight = r * (1.0 - np.sum(z * z, axis=1)) / 2.0
         return weight * lap
 
-    return mc_mean(draw, budget, seed, "mc-ball")
+    return _ball_mean(u, x, r, value, budget, seed)
 
 
 def _slice_samples(n: int, kernel_dim: int, count: int,
@@ -166,12 +186,14 @@ def _heatball_points(center: np.ndarray, r: float, y: np.ndarray,
     return pts
 
 
-def _check_heatball_domain(u, center, r: float, m: int) -> None:
-    dom = getattr(u, "domain", None)
-    if dom is None:
-        return
-    hb = Heatball(tuple(center), r, m)
-    _require_box_inside(hb.bounding_box(), dom, "heat ball")
+def _heatball_term(u, center: np.ndarray):
+    """(1/4) u |y|^2 / s^2 w at the unit slice sample (y, s, w) scaled by rr."""
+    def term(rr, y, s, w):
+        kern = np.sum(y * y, axis=1) / (s * s)
+        pts = _heatball_points(center, rr, y, s)
+        return 0.25 * np.asarray(u.fn(pts), dtype=float) * kern * w
+
+    return term
 
 
 def heatball_average(u, center, r: float, budget: int = 100_000,
@@ -182,47 +204,20 @@ def heatball_average(u, center, r: float, budget: int = 100_000,
     keeps the kernel weight bounded near s -> 0 in every dimension.
     """
     center = np.asarray(center, dtype=float)
-    n = len(center) - 1
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    _check_heatball_domain(u, center, r, 0)
-    fn = _field_fn(u)
-
-    def draw(rng, count):
-        y, s, w = _slice_samples(n, n, count, rng)
-        pts = _heatball_points(center, r, y, s)
-        kern = np.sum(y * y, axis=1) / (s * s)
-        return 0.25 * np.asarray(fn(pts), dtype=float) * kern * w
-
-    return mc_mean(draw, budget, seed, "mc-slice-importance")
+    term = _heatball_term(u, center)
+    return _heatball_mean(u, center, r, 0,
+                          lambda y, s, w: term(r, y, s, w), budget, seed)
 
 
 def heatball_average_fd(u, center, r: float, h: float | None = None,
                         budget: int = 100_000, seed: int = 0) -> QuadResult:
-    """Centered difference quotient of the heat-ball average in r.
-
-    Shares (y, s, w) samples between the two radii (common random numbers).
-    """
+    """Centered difference quotient of the heat-ball average in r."""
     center = np.asarray(center, dtype=float)
-    n = len(center) - 1
     if h is None:
         h = 1e-3 * r
-    if not 0 < h < r:
-        raise ValueError("need 0 < h < r")
-    _check_heatball_domain(u, center, r + h, 0)
-    fn = _field_fn(u)
-
-    def draw(rng, count):
-        y, s, w = _slice_samples(n, n, count, rng)
-        kern = np.sum(y * y, axis=1) / (s * s)
-
-        def term(rr):
-            pts = _heatball_points(center, rr, y, s)
-            return 0.25 * np.asarray(fn(pts), dtype=float) * kern * w
-
-        return (term(r + h) - term(r - h)) / (2.0 * h)
-
-    return mc_mean(draw, budget, seed, "mc-slice-importance-fd")
+    quotient = _fd(_heatball_term(u, center), r, h)
+    return _heatball_mean(u, center, r + h, 0, quotient, budget, seed,
+                          "mc-slice-importance-fd")
 
 
 def deriv2_rhs(u, center, r: float, budget: int = 100_000,
@@ -234,19 +229,15 @@ def deriv2_rhs(u, center, r: float, budget: int = 100_000,
     """
     center = np.asarray(center, dtype=float)
     n = len(center) - 1
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    _check_heatball_domain(u, center, r, 0)
     heat = heat_operator(n)
 
-    def draw(rng, count):
-        y, s, w = _slice_samples(n, n, count, rng)
+    def value(y, s, w):
         hu = heat.apply(u, _heatball_points(center, r, y, s))
         psi = (-0.5 * n * np.log(4.0 * math.pi * s)
                - np.sum(y * y, axis=1) / (4.0 * s))
         return n * r * hu * psi * w
 
-    return mc_mean(draw, budget, seed, "mc-slice-importance")
+    return _heatball_mean(u, center, r, 0, value, budget, seed)
 
 
 def modified_heatball_average(u, center, r: float, m: int,
@@ -260,19 +251,14 @@ def modified_heatball_average(u, center, r: float, m: int,
 
     center = np.asarray(center, dtype=float)
     n = len(center) - 1
-    if r <= 0:
-        raise ValueError("radius must be positive")
     if m < 3:
         raise ValueError("m must be at least 3")
-    _check_heatball_domain(u, center, r, m)
-    fn = _field_fn(u)
 
-    def draw(rng, count):
-        y, s, w = _slice_samples(n, m + n, count, rng)
+    def value(y, s, w):
         pts = _heatball_points(center, r, y, s)
-        return np.asarray(fn(pts), dtype=float) * kappa(m, n, y, s) * w
+        return np.asarray(u.fn(pts), dtype=float) * kappa(m, n, y, s) * w
 
-    return mc_mean(draw, budget, seed, "mc-slice-importance")
+    return _heatball_mean(u, center, r, m, value, budget, seed)
 
 
 def heatball_unit_volume(n: int, budget: int = 200_000,
@@ -280,43 +266,8 @@ def heatball_unit_volume(n: int, budget: int = 200_000,
     """Monte Carlo |E(1)| in slice coordinates (importance sampler weight)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return mc_mean(lambda rng, count: _slice_samples(n, n, count, rng)[2],
-                   budget, seed, "mc-slice-importance")
-
-
-@dataclass
-class AverageFamily:
-    """phi(r) for a fixed field and center; phi(0) = u(center) exactly."""
-
-    kind: str
-    u: object
-    center: tuple[float, ...]
-    max_radius: float
-    m: int | None = None
-    budget: int = 100_000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("ball", "heatball", "modified-heatball"):
-            raise ValueError(f"unknown average family kind {self.kind!r}")
-        if self.max_radius <= 0:
-            raise ValueError("max radius must be positive")
-
-    def value(self, r: float) -> QuadResult:
-        if not 0 <= r <= self.max_radius:
-            raise ValueError("radius outside [0, R]")
-        if r == 0:
-            fn = _field_fn(self.u)
-            v = float(np.asarray(fn(np.atleast_2d(np.asarray(self.center))))[0])
-            return QuadResult(value=v, std_error=0.0, samples=1, method="exact")
-        if self.kind == "ball":
-            return ball_average(self.u, self.center, r, self.budget, self.seed)
-        if self.kind == "heatball":
-            return heatball_average(self.u, self.center, r, self.budget, self.seed)
-        return modified_heatball_average(self.u, self.center, r, self.m,
-                                         self.budget, self.seed)
-
-    __call__ = value
+    return _heatball_mean(None, np.zeros(n + 1), 1.0, 0,
+                          lambda y, s, w: w, budget, seed)
 
 
 @dataclass(frozen=True)
@@ -363,22 +314,10 @@ def concave_mvi_constant(C: float, sys: BallSystem, R0: float, K: float,
 
 def sample_admissible(sys: BallSystem, domain, trials: int,
                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """(a, r) pairs: a uniform in the domain, r uniform in (0, R(a)]."""
-    d = sys.dim
-    if hasattr(domain, "sample"):
-        a = domain.sample(trials, rng)
-    else:
-        bb = domain.bounding_box()
-        a = np.empty((trials, d))
-        got = 0
-        while got < trials:
-            cand = bb.sample(max(trials, 1024), rng)
-            keep = np.atleast_1d(domain.contains(cand))
-            cand = cand[keep]
-            take = min(len(cand), trials - got)
-            a[got:got + take] = cand[:take]
-            got += take
-    rmax = build_radius_function(sys, domain)(a)
+    """(a, r) pairs: a uniform in the Box domain, r uniform in (0, R(a)]."""
+    radius = build_radius_function(sys, domain)
+    a = domain.sample(trials, rng)
+    rmax = radius(a)
     if np.all(rmax <= 0):
         raise RuntimeError("no admissible (a, r) pair found")
     r = rng.random(trials) * rmax
@@ -457,10 +396,8 @@ def _mvi_harness(kind: str, values_of, sys: BallSystem, constant: float,
 
 
 def _positive_values(u_plus):
-    fn = _field_fn(u_plus)
-
     def values(pts):
-        return np.maximum(np.asarray(fn(pts), dtype=float), 0.0)
+        return np.maximum(np.asarray(u_plus.fn(pts), dtype=float), 0.0)
 
     return values
 
@@ -528,9 +465,14 @@ def check_modified_heatball_mvi(u_plus, m: int, center, R: float,
     M = kappa_max(m, n).closed_form if constant is None else float(constant)
     base = _positive_values(u_plus)
     margins = np.empty(len(centers))
+    scale = R ** (n + 2)
     for i, c in enumerate(centers):
-        # plain integral of u_+ over E_m: reuse the slice sampler weights
-        res = _modified_integral(base, c, R, m, n, budget, seed + i)
+        # plain integral of u_+ over E_m by the slice sampler; u = None
+        # skips the domain guard, as E_m may reach past u's domain box
+        res = _heatball_mean(
+            None, c, R, m,
+            lambda y, s, w: scale * base(_heatball_points(c, R, y, s)) * w,
+            budget, seed + i)
         lhs = float(base(np.atleast_2d(c))[0])
         rhs = (M / R ** (n + 2)) * res.value
         band = 3.0 * (M / R ** (n + 2)) * res.std_error
@@ -541,18 +483,6 @@ def check_modified_heatball_mvi(u_plus, m: int, center, R: float,
                           worst_margin=float(np.min(margins)), seed=seed)
 
 
-def _modified_integral(values, center, r: float, m: int, n: int,
-                       budget: int, seed: int) -> QuadResult:
-    """int_{E_m(center; r)} values(y, s) dy ds via the slice sampler."""
-    scale = r ** (n + 2)
-
-    def draw(rng, count):
-        y, s, w = _slice_samples(n, m + n, count, rng)
-        return scale * values(_heatball_points(center, r, y, s)) * w
-
-    return mc_mean(draw, budget, seed, "mc-slice-importance")
-
-
 def dense_box_sup(u, box: Box, interior: int = 128,
                   edge: int = 65537) -> float:
     """max of u over a box by interior lattice plus dense boundary scan.
@@ -561,7 +491,7 @@ def dense_box_sup(u, box: Box, interior: int = 128,
     denser; the interior lattice is a safety net.  A NaN value anywhere
     makes the result NaN.
     """
-    fn = _field_fn(u)
+    fn = u.fn
     d = box.dim
     axes = [np.linspace(lo, hi, interior) for lo, hi in zip(box.lo, box.hi)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
@@ -591,7 +521,7 @@ def _claim_drop(kind: str, u, omega: Box, inner: Box | None, drop: float,
         raise ValueError("shrunken domain is empty")
     sup = dense_box_sup(u, omega)
     pts = inner.sample(n_points, np.random.default_rng(seed))
-    vals = np.asarray(_field_fn(u)(pts), dtype=float)
+    vals = np.asarray(u.fn(pts), dtype=float)
     tol = 1e-6 * max(1.0, abs(sup))
     margins = (sup - drop) - vals
     violations = int(np.count_nonzero(~(margins >= -tol)))

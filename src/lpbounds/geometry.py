@@ -1,4 +1,4 @@
-"""Integration regions, ball systems, and radius functions.
+"""Integration regions, ball systems, and radius functions on boxes.
 
 Every region exposes a vectorized membership test plus an axis-aligned
 bounding box; all Monte Carlo quadrature is built on that pair.  Exact
@@ -15,7 +15,7 @@ the (closed) set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +34,6 @@ __all__ = [
     "euclidean_shrink",
     "heatball_shrink",
     "system_shrink",
-    "region_to_dict",
-    "region_from_dict",
 ]
 
 
@@ -291,29 +289,6 @@ def parabolic_box_system(m: int, n: int) -> BallSystem:
     return box_system(hw, (1.0,) * n + (2.0,), name=f"parabolic-box-{m}-{n}")
 
 
-def _cube_probes(d: int) -> np.ndarray:
-    """Deterministic probe points of the cube [-1, 1]^d.
-
-    Corners, a lattice on each face, and an interior lattice.  Used for
-    containment tests of candidate boxes in non-box, non-ball domains.
-    """
-    pts = []
-    corners = np.array(np.meshgrid(*([[-1.0, 1.0]] * d), indexing="ij"))
-    pts.append(corners.reshape(d, -1).T)
-    face_grid = np.linspace(-1.0, 1.0, 7)
-    for axis in range(d):
-        rest = [face_grid] * (d - 1)
-        grid = np.array(np.meshgrid(*rest, indexing="ij")).reshape(d - 1, -1).T \
-            if d > 1 else np.zeros((1, 0))
-        for side in (-1.0, 1.0):
-            face = np.insert(grid, axis, side, axis=1)
-            pts.append(face)
-    inner = np.linspace(-0.8, 0.8, 5)
-    lattice = np.array(np.meshgrid(*([inner] * d), indexing="ij")).reshape(d, -1).T
-    pts.append(lattice)
-    return np.unique(np.vstack(pts), axis=0)
-
-
 def _sup_bisect(predicate, hi: float = 1.0) -> float:
     """sup{r > 0 : predicate(r)} for a predicate true below the sup.
 
@@ -336,13 +311,11 @@ def _sup_bisect(predicate, hi: float = 1.0) -> float:
 
 @dataclass
 class RadiusFunction:
-    """R(a) = sup{r : B~_r(a) subset domain} / divisor.
+    """R(a) = sup{r : B~_r(a) subset domain} / divisor on a Box domain.
 
     B~_r(a) is the candidate box a + r^lambda . B~ where B~ is the smallest
-    origin-symmetric axis-aligned box containing the domain.  On a Box
-    domain the sup has a closed form; elsewhere it is found by
-    doubling-then-bisection (_sup_bisect), with exact containment for
-    EuclideanBall domains and probe-based containment otherwise.  Like
+    origin-symmetric axis-aligned box containing the domain.  The sup has a
+    closed form per axis; any other domain raises TypeError.  Like
     contains, sup_radius and __call__ take one point or an (N, d) batch.
 
     The divisor (4 in general, 2 when every exponent is >= 1) makes the
@@ -351,54 +324,26 @@ class RadiusFunction:
     """
 
     system: BallSystem
-    domain: object
+    domain: Box
     divisor: float
-    halfwidths: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
-        if not self.halfwidths:
-            bb = self.domain.bounding_box()
-            hw = np.maximum(np.abs(np.asarray(bb.lo)), np.abs(np.asarray(bb.hi)))
-            self.halfwidths = tuple(float(v) for v in hw)
+        if not isinstance(self.domain, Box):
+            raise TypeError("radius functions are defined on Box domains only")
         if self.system.dim != self.domain.dim:
             raise ValueError("system/domain dimension mismatch")
-        self._probes = None
-
-    @property
-    def ratio_constant(self) -> float:
-        return 2.0
-
-    def _candidate_box(self, a: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
-        w = (r ** np.asarray(self.system.lambdas)) * np.asarray(self.halfwidths)
-        return a - w, a + w
-
-    def _fits(self, a: np.ndarray, r: float) -> bool:
-        lo, hi = self._candidate_box(a, r)
-        dom = self.domain
-        if isinstance(dom, EuclideanBall):
-            c = np.asarray(dom.center)
-            reach = np.abs(a - c) + (hi - lo) / 2.0
-            return bool(np.sum(reach**2) < dom.radius**2)
-        if self._probes is None:
-            self._probes = _cube_probes(dom.dim)
-        pts = a + self._probes * (hi - lo) / 2.0
-        return bool(np.all(dom.contains(pts)))
 
     def sup_radius(self, a):
         pts, single = _as_points(a, self.system.dim)
         if not np.all(self.domain.contains(pts)):
             raise ValueError("center must lie in the domain")
-        dom = self.domain
-        if isinstance(dom, Box):
-            # the candidate box fits iff r^lambda_i w_i <= margin_i per axis
-            lo, hi = np.asarray(dom.lo), np.asarray(dom.hi)
-            margins = np.minimum(pts - lo, hi - pts)
-            per_axis = ((margins / np.asarray(self.halfwidths))
-                        ** (1.0 / np.asarray(self.system.lambdas)))
-            out = np.min(per_axis, axis=1)
-        else:
-            out = np.array([_sup_bisect(lambda r: self._fits(p, r))
-                            for p in pts])
+        # the candidate box fits iff r^lambda_i w_i <= margin_i per axis
+        lo, hi = np.asarray(self.domain.lo), np.asarray(self.domain.hi)
+        halfwidths = np.maximum(np.abs(lo), np.abs(hi))
+        margins = np.minimum(pts - lo, hi - pts)
+        per_axis = ((margins / halfwidths)
+                    ** (1.0 / np.asarray(self.system.lambdas)))
+        out = np.min(per_axis, axis=1)
         return float(out[0]) if single else out
 
     def __call__(self, a):
@@ -415,13 +360,19 @@ def build_radius_function(sys: BallSystem, domain) -> RadiusFunction:
     return RadiusFunction(system=sys, domain=domain, divisor=divisor)
 
 
-def euclidean_shrink(box: Box, r: float) -> Box | None:
-    """Inner parallel box at Euclidean distance r; None if empty."""
-    lo = np.asarray(box.lo) + r
-    hi = np.asarray(box.hi) - r
+def _inset(box: Box, lo_margin, hi_margin) -> Box | None:
+    """box with lo raised by lo_margin and hi lowered by hi_margin (per axis
+    or scalar); None if that leaves it empty."""
+    lo = np.asarray(box.lo) + lo_margin
+    hi = np.asarray(box.hi) - hi_margin
     if np.any(lo >= hi):
         return None
     return Box(tuple(lo), tuple(hi))
+
+
+def euclidean_shrink(box: Box, r: float) -> Box | None:
+    """Inner parallel box at Euclidean distance r; None if empty."""
+    return _inset(box, r, r)
 
 
 def heatball_shrink(box: Box, r: float, n: int) -> Box | None:
@@ -433,14 +384,8 @@ def heatball_shrink(box: Box, r: float, n: int) -> Box | None:
     if box.dim != n + 1:
         raise ValueError("box dimension must be n + 1")
     w = r * math.sqrt(n / (2.0 * math.pi * math.e))
-    lo = np.asarray(box.lo, dtype=float).copy()
-    hi = np.asarray(box.hi, dtype=float).copy()
-    lo[:n] += w
-    hi[:n] -= w
-    lo[n] += r**2 / (4.0 * math.pi)
-    if np.any(lo >= hi):
-        return None
-    return Box(tuple(lo), tuple(hi))
+    depth = r**2 / (4.0 * math.pi)
+    return _inset(box, np.array([w] * n + [depth]), np.array([w] * n + [0.0]))
 
 
 def system_shrink(box: Box, sys: BallSystem, r: float) -> Box | None:
@@ -452,37 +397,4 @@ def system_shrink(box: Box, sys: BallSystem, r: float) -> Box | None:
     c = np.asarray(unit.center)
     if np.any(c != 0.0):
         raise ValueError("unit ball must be origin-symmetric")
-    lo = np.asarray(box.lo) + w
-    hi = np.asarray(box.hi) - w
-    if np.any(lo >= hi):
-        return None
-    return Box(tuple(lo), tuple(hi))
-
-
-def region_to_dict(region) -> dict:
-    """JSON-serializable description of a region (round-trips exactly)."""
-    if isinstance(region, Box):
-        return {"kind": "box", "lo": list(region.lo), "hi": list(region.hi)}
-    if isinstance(region, EuclideanBall):
-        return {"kind": "ball", "center": list(region.center),
-                "radius": region.radius}
-    if isinstance(region, Heatball) and region.m > 0:
-        return {"kind": "modified-heatball", "center": list(region.center),
-                "radius": region.radius, "m": region.m}
-    if isinstance(region, Heatball):
-        return {"kind": "heatball", "center": list(region.center),
-                "radius": region.radius}
-    raise TypeError(f"cannot serialize region of type {type(region).__name__}")
-
-
-def region_from_dict(data: dict):
-    kind = data["kind"]
-    if kind == "box":
-        return Box(tuple(data["lo"]), tuple(data["hi"]))
-    if kind == "ball":
-        return EuclideanBall(tuple(data["center"]), data["radius"])
-    if kind == "heatball":
-        return Heatball(tuple(data["center"]), data["radius"])
-    if kind == "modified-heatball":
-        return Heatball(tuple(data["center"]), data["radius"], data["m"])
-    raise ValueError(f"unknown region kind {kind!r}")
+    return _inset(box, w, w)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lpbounds import averages
-from lpbounds.geometry import Box, Heatball, euclidean_system
+from lpbounds.geometry import Box, EuclideanBall, Heatball, euclidean_system
 from lpbounds.fields import (
     ScalarField,
     heat_polynomial_field,
@@ -17,7 +17,6 @@ from lpbounds.fields import (
 )
 from lpbounds.averages import (
     SMAX,
-    AverageFamily,
     ball_average,
     ball_average_fd,
     check_concave_mvi,
@@ -82,6 +81,75 @@ def test_ball_average_domain_guard():
         ball_average_fd(u, (0.5, 0.5), 0.2, h=0.3)
 
 
+_LIN_SQ = polynomial_field({(1, 0): 2.0, (0, 1): -1.0, (0, 0): 0.3},
+                           domain=Box((0.0, 0.0), (1.0, 1.0)))
+
+
+@pytest.mark.parametrize("estimate, center, r", [
+    (ball_average_fd, (0.5, 0.5), 0.3),
+    (heatball_average_fd, (0.5, 0.9), 0.3),
+])
+def test_fd_quotient_shares_samples(estimate, center, r):
+    # on a linear field the per-sample quotient does not depend on h, so
+    # with both radii on one sample the SE stays put as h shrinks; with
+    # independent draws it would grow like 1/h (about 1000x here)
+    coarse = estimate(_LIN_SQ, center, r, h=1e-3, budget=20_000, seed=3)
+    fine = estimate(_LIN_SQ, center, r, h=1e-6, budget=20_000, seed=3)
+    assert coarse.std_error > 0.0
+    assert fine.std_error <= 2.0 * coarse.std_error
+    assert coarse.std_error <= 2.0 * fine.std_error
+
+
+_HEAT_ESTIMATORS = {
+    "heatball_average": heatball_average,
+    "heatball_average_fd": heatball_average_fd,
+    "deriv2_rhs": deriv2_rhs,
+    "modified_heatball_average[m=3]": lambda u, c, r, budget: (
+        modified_heatball_average(u, c, r, 3, budget=budget)),
+}
+
+
+def _heat_square():
+    u = quadratic_field(2, spatial=True)
+    u.domain = Box((0.0, 0.0), (1.0, 1.0))
+    return u
+
+
+@pytest.mark.parametrize("center", [(0.05, 0.9), (0.5, 0.005)])
+@pytest.mark.parametrize("name", list(_HEAT_ESTIMATORS))
+def test_heat_estimators_domain_guard(name, center):
+    # at r = 0.3 the heat ball reaches 0.07 in space (0.15 for m = 3) and
+    # 0.0072 back in time: it fits the square at (0.5, 0.9), but leaves it
+    # past x = 0 from x = 0.05 and past t = 0 from t = 0.005
+    u = _heat_square()
+    estimate = _HEAT_ESTIMATORS[name]
+    estimate(u, (0.5, 0.9), 0.3, budget=2000)
+    with pytest.raises(ValueError, match="escapes the field's domain"):
+        estimate(u, center, 0.3, budget=2000)
+
+
+def test_modified_heatball_guard_uses_its_kernel_dimension():
+    # at x = 0.1 the plain heat ball (reach 0.07) fits but E_3 (0.15) does not
+    u = _heat_square()
+    heatball_average(u, (0.1, 0.9), 0.3, budget=2000)
+    with pytest.raises(ValueError, match="escapes the field's domain"):
+        modified_heatball_average(u, (0.1, 0.9), 0.3, 3, budget=2000)
+
+
+@pytest.mark.parametrize("estimate, center, r", [
+    # B_0.45 fits the unit square at its center, B_0.55 does not
+    (ball_average_fd, (0.5, 0.5), 0.45),
+    # E(1.1) reaches back 0.0963 in time from t = 0.1, E(1.15) 0.105
+    (heatball_average_fd, (0.5, 0.1), 1.1),
+])
+def test_fd_domain_guard_covers_outer_radius(estimate, center, r):
+    u = quadratic_field(2)
+    u.domain = Box((0.0, 0.0), (1.0, 1.0))
+    estimate(u, center, r, h=0.01, budget=2000)
+    with pytest.raises(ValueError, match="escapes the field's domain"):
+        estimate(u, center, r, h=0.1, budget=2000)
+
+
 def test_deriv1_requires_exact_hessian():
     f = ScalarField(2, lambda pts: pts[:, 0])
     with pytest.raises(ValueError):
@@ -132,22 +200,6 @@ def test_modified_heatball_average_normalization():
         modified_heatball_average(one, (0.0, 0.0), 0.0, 3)
 
 
-def test_average_family_exact_at_zero():
-    fam = AverageFamily("ball", R2, (0.1, 0.2), 0.5, budget=2000)
-    at0 = fam.value(0.0)
-    assert at0.value == R2((0.1, 0.2))
-    assert at0.std_error == 0.0 and at0.method == "exact"
-    assert fam(0.3).samples == 2000
-    with pytest.raises(ValueError):
-        fam.value(0.6)
-    with pytest.raises(ValueError):
-        fam.value(-0.1)
-    with pytest.raises(ValueError):
-        AverageFamily("cube", R2, (0.0, 0.0), 1.0)
-    with pytest.raises(ValueError):
-        AverageFamily("ball", R2, (0.0, 0.0), 0.0)
-
-
 def test_pmvi_constant_closed_form():
     sys2 = euclidean_system(2)
     # 2 * 0.5^{-2} * (2 * 2^2)^{(1-p)/p} * C at p = 1/2 gives 64 C
@@ -179,6 +231,8 @@ def test_sample_admissible_containment():
     # every admissible ball fits in the domain with room to spare
     margins = np.minimum(a - 0.0, 1.0 - a).min(axis=1)
     assert np.all(r <= margins + 1e-12)
+    with pytest.raises(TypeError):
+        sample_admissible(sys2, EuclideanBall((0.0, 0.0), 1.0), 10, rng)
 
 
 def test_check_mvi_harmonic_positive_part():
@@ -329,8 +383,6 @@ _BUDGETED = {
     "deriv2_rhs": lambda b: deriv2_rhs(_T, (0.0, 0.0), 0.5, budget=b),
     "modified_heatball_average": lambda b: modified_heatball_average(
         _T, (0.0, 0.0), 0.5, m=3, budget=b),
-    "AverageFamily": lambda b: AverageFamily("ball", _Q, (0.0, 0.0), 1.0,
-                                             budget=b).value(0.1),
     "heatball_unit_volume": lambda b: heatball_unit_volume(2, budget=b),
     "check_modified_heatball_mvi": lambda b: check_modified_heatball_mvi(
         _T, 3, (0.0, 0.0), 0.5, budget=b),

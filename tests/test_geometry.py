@@ -17,8 +17,6 @@ from lpbounds.geometry import (
     heatball_shrink,
     system_shrink,
     unit_ball_volume,
-    region_to_dict,
-    region_from_dict,
 )
 from lpbounds.geometry import _sup_bisect
 
@@ -132,17 +130,13 @@ def test_radius_function_box_exact():
         rf((1.5, 0.5))
 
 
-def test_radius_function_matches_quadratic_on_ball_domain():
-    # symmetrized candidate box of the unit disc has half-widths (1, 1); the
-    # exact sup solves (0.3 + r)^2 + r^2 = 1
-    dom = EuclideanBall((0.0, 0.0), 1.0)
-    rf = build_radius_function(euclidean_system(2), dom)
-    want = (-0.6 + math.sqrt(0.36 + 4 * 2 * 0.91)) / 4.0
-    assert rf.sup_radius((0.3, 0.0)) == pytest.approx(want, rel=1e-9)
+def test_radius_function_rejects_non_box_domain():
+    with pytest.raises(TypeError):
+        build_radius_function(euclidean_system(2),
+                              EuclideanBall((0.0, 0.0), 1.0))
 
 
-@pytest.mark.parametrize("dom", [Box((0.0, 0.0), (1.0, 1.0)),
-                                 EuclideanBall((0.0, 0.0), 1.0)])
+@pytest.mark.parametrize("dom", [Box((0.0, 0.0), (1.0, 1.0))])
 def test_radius_function_batch_matches_per_point(dom):
     rf = build_radius_function(euclidean_system(2), dom)
     a = np.array([[0.5, 0.5], [0.1, 0.5], [0.3, 0.2], [0.0, 0.4]])
@@ -221,26 +215,3 @@ def test_heatball_measure_scaling_bbox(n, r):
     scaled = Heatball((0.0,) * (n + 1), r).bounding_box().measure
     assert scaled == pytest.approx(r ** (n + 2) * unit, rel=1e-9)
 
-
-def test_region_dict_round_trip():
-    regions = [
-        Box((0.0, 0.0), (1.0, 2.0)),
-        EuclideanBall((0.5, 0.5), 0.25),
-        Heatball((0.0, 0.0), 0.8),
-        Heatball((0.0, 0.0), 0.8, m=4),
-    ]
-    kinds = [region_to_dict(reg)["kind"] for reg in regions]
-    assert kinds == ["box", "ball", "heatball", "modified-heatball"]
-    rng = np.random.default_rng(7)
-    for reg in regions:
-        back = region_from_dict(region_to_dict(reg))
-        assert back == reg
-        pts = reg.bounding_box().sample(200, rng)
-        a = np.atleast_1d(reg.contains(pts))
-        b = np.atleast_1d(back.contains(pts))
-        assert np.array_equal(a, b)
-
-
-def test_region_from_dict_unknown_kind():
-    with pytest.raises(ValueError):
-        region_from_dict({"kind": "torus"})
