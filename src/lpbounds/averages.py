@@ -29,6 +29,8 @@ from .geometry import (
     Box,
     BallSystem,
     Heatball,
+    _as_points,
+    _lattice,
     build_radius_function,
     heatball_shrink,
     euclidean_shrink,
@@ -344,13 +346,17 @@ def _mvi_harness(kind: str, values_of, sys: BallSystem, constant: float,
     p-th power, concave map).  A trial is a violation when
     lhs > rhs + 3 SE; trials whose ball sample mean is exactly zero while
     lhs > 0 are re-run at larger sample counts before being scored (thin
-    positive slivers are otherwise invisible to small samples).
+    positive slivers are otherwise invisible to small samples).  Raises
+    ValueError without a domain, with no trial, or with fewer than two
+    samples a trial (no standard error).
     """
     if domain is None:
-        raise ValueError("no domain: pass one or use a field with a domain box")
+        raise ValueError("no domain: the field needs a domain box")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if samples < 2:
+        raise ValueError("samples per trial must be at least 2")
     v1 = sys.unit_volume
-    if v1 is None:
-        raise ValueError("ball system needs a unit ball with known volume")
     ss = np.random.SeedSequence(seed)
     s_pairs, s_unit, s_esc = ss.spawn(3)
     rng = np.random.default_rng(s_pairs)
@@ -403,77 +409,73 @@ def _positive_values(u_plus):
 
 
 def check_mvi(u_plus, sys: BallSystem, C: float, trials: int = 1000,
-              seed: int = 0, domain=None,
-              samples_per_trial: int = 1024) -> MviCheckReport:
-    """Tests u_+(a) <= (C/r^A) int_{B_r(a)} u_+ + 3 SE on admissible pairs."""
-    dom = domain if domain is not None else getattr(u_plus, "domain", None)
+              seed: int = 0, samples_per_trial: int = 1024) -> MviCheckReport:
+    """Tests u_+(a) <= (C/r^A) int_{B_r(a)} u_+ + 3 SE on admissible pairs
+    of u_plus's domain box."""
     base = _positive_values(u_plus)
-    return _mvi_harness("mvi", base, sys, C, trials, seed, dom,
+    return _mvi_harness("mvi", base, sys, C, trials, seed, u_plus.domain,
                         samples_per_trial)
 
 
 def check_pmvi(u_plus, sys: BallSystem, C: float, p: float, trials: int = 1000,
-               seed: int = 0, domain=None, R0: float = 0.5, K: float = 2.0,
-               samples_per_trial: int = 1024) -> MviCheckReport:
-    """p-th power MVI with the closed-form constant from pmvi_constant."""
-    dom = domain if domain is not None else getattr(u_plus, "domain", None)
-    ctil = pmvi_constant(C, sys, R0, K, p)
+               seed: int = 0, samples_per_trial: int = 1024) -> MviCheckReport:
+    """p-th power MVI with the closed-form constant from pmvi_constant at
+    R0 = 1/2, K = 2."""
+    ctil = pmvi_constant(C, sys, 0.5, 2.0, p)
     base = _positive_values(u_plus)
 
     def values(pts):
         return base(pts) ** p
 
     return _mvi_harness(f"pmvi[p={p:g}]", values, sys, ctil, trials, seed,
-                        dom, samples_per_trial)
+                        u_plus.domain, samples_per_trial)
 
 
 def check_concave_mvi(u_plus, sys: BallSystem, C: float, phi, c_phi: float,
-                      trials: int = 1000, seed: int = 0, domain=None,
-                      R0: float = 0.5, K: float = 2.0,
+                      trials: int = 1000, seed: int = 0,
                       samples_per_trial: int = 1024) -> MviCheckReport:
-    """MVI for phi(u_+) with the implementation-chosen doubling constant.
+    """MVI for phi(u_+) with the implementation-chosen doubling constant at
+    R0 = 1/2, K = 2.
 
     phi must be a vectorized concave increasing map with phi(0) = 0; c_phi
     bounds phi^{-1}(2t) <= c_phi phi^{-1}(t).
     """
-    dom = domain if domain is not None else getattr(u_plus, "domain", None)
     z = float(np.asarray(phi(np.zeros(1)))[0])
     if abs(z) > 1e-12:
         raise ValueError("phi(0) must be 0")
-    cphi_const = concave_mvi_constant(C, sys, R0, K, c_phi)
+    cphi_const = concave_mvi_constant(C, sys, 0.5, 2.0, c_phi)
     base = _positive_values(u_plus)
 
     def values(pts):
         return np.asarray(phi(base(pts)), dtype=float)
 
     return _mvi_harness(f"concave[c_phi={c_phi:g}]", values, sys, cphi_const,
-                        trials, seed, dom, samples_per_trial)
+                        trials, seed, u_plus.domain, samples_per_trial)
 
 
-def check_modified_heatball_mvi(u_plus, m: int, center, R: float,
+def check_modified_heatball_mvi(u_plus, m: int, centers, R: float,
                                 budget: int = 100_000, seed: int = 0,
                                 constant: float | None = None) -> MviCheckReport:
     """u_+(x, t) <= (M_{m,n}/R^{n+2}) int_{E_m(x,t;R)} u_+ + 3 SE.
 
-    center may be a single point or a list of points; each gets one trial.
-    constant overrides M_{m,n} (used by the deliberately-failing sanity check).
+    centers is an (N, n + 1) batch; each center gets one trial, and each
+    E_m(center; R) must lie in u_plus's domain box.  constant overrides
+    M_{m,n} (used by the deliberately-failing sanity check).
     """
     from .constants import kappa_max
 
-    centers = np.atleast_2d(np.asarray(center, dtype=float))
+    centers = _as_points(centers, u_plus.dim)
     n = centers.shape[1] - 1
     M = kappa_max(m, n).closed_form if constant is None else float(constant)
     base = _positive_values(u_plus)
     margins = np.empty(len(centers))
     scale = R ** (n + 2)
     for i, c in enumerate(centers):
-        # plain integral of u_+ over E_m by the slice sampler; u = None
-        # skips the domain guard, as E_m may reach past u's domain box
         res = _heatball_mean(
-            None, c, R, m,
+            u_plus, c, R, m,
             lambda y, s, w: scale * base(_heatball_points(c, R, y, s)) * w,
             budget, seed + i)
-        lhs = float(base(np.atleast_2d(c))[0])
+        lhs = float(base(c[None])[0])
         rhs = (M / R ** (n + 2)) * res.value
         band = 3.0 * (M / R ** (n + 2)) * res.std_error
         margins[i] = rhs + band - lhs
@@ -494,17 +496,12 @@ def dense_box_sup(u, box: Box, interior: int = 128,
     fn = u.fn
     d = box.dim
     axes = [np.linspace(lo, hi, interior) for lo, hi in zip(box.lo, box.hi)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    peaks = [np.max(fn(mesh))]
+    peaks = [np.max(fn(_lattice(axes)))]
     face_res = edge if d == 2 else 513
     for axis in range(d):
         others = [np.linspace(lo, hi, face_res)
                   for i, (lo, hi) in enumerate(zip(box.lo, box.hi)) if i != axis]
-        if others:
-            grid = np.stack(np.meshgrid(*others, indexing="ij"), axis=-1)
-            grid = grid.reshape(-1, d - 1)
-        else:
-            grid = np.zeros((1, 0))
+        grid = _lattice(others) if others else np.zeros((1, 0))
         for side in (box.lo[axis], box.hi[axis]):
             face = np.insert(grid, axis, side, axis=1)
             peaks.append(np.max(fn(face)))

@@ -259,6 +259,8 @@ def _cmd_deriv_check(cfg: dict, out_dir: str) -> int:
     from .quadrature import agreement
 
     op, n = cfg["op"], cfg["n"]
+    if cfg["fields"] < 1:
+        raise UsageError("--fields must be at least 1")
     rows = []
     failed = False
     if op == "laplace":

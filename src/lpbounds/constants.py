@@ -23,6 +23,7 @@ from .geometry import (
     heatball_shrink,
     system_shrink,
     unit_ball_volume,
+    _lattice,
     _sup_bisect,
 )
 from .quadrature import integrate, measure
@@ -60,11 +61,6 @@ class ConstantReport:
             denom = max(abs(self.closed_form), 1e-300)
             self.rel_gap = abs(self.closed_form - self.cross_check) / denom
 
-    def as_row(self) -> dict:
-        return {"name": self.name, "inputs": dict(self.inputs),
-                "closedForm": self.closed_form, "crossCheck": self.cross_check,
-                "relGap": self.rel_gap}
-
 
 def k_laplace(n: int) -> float:
     """Drop constant 1/(2n+4) of the ball-average lower bound."""
@@ -73,30 +69,27 @@ def k_laplace(n: int) -> float:
     return 1.0 / (2.0 * n + 4.0)
 
 
-def heatball_unit_volume_exact(n: int, kernel_dim: int | None = None) -> float:
+def heatball_unit_volume_exact(n: int) -> float:
     """|E(1)| by the closed slice integral.
 
-    The slice at age s is a ball of radius sqrt(2 d s log(1/(4 pi s))) in
-    R^n (d = kernel dimension, n for plain heat balls, m+n for modified
-    ones); substituting s = e^{-tau}/(4 pi) gives a Gamma integral.
+    The slice at age s is a ball of radius sqrt(2 n s log(1/(4 pi s))) in
+    R^n; substituting s = e^{-tau}/(4 pi) gives a Gamma integral.
     """
-    d = n if kernel_dim is None else kernel_dim
     a = n / 2.0
-    return (unit_ball_volume(n) * (2.0 * d) ** (n / 2.0)
+    return (unit_ball_volume(n) * (2.0 * n) ** (n / 2.0)
             * SMAX ** (a + 1.0) * math.gamma(a + 1.0) / (a + 1.0) ** (a + 1.0))
 
 
-def heatball_unit_volume_quad(n: int, kernel_dim: int | None = None) -> float:
+def heatball_unit_volume_quad(n: int) -> float:
     """|E(1)| by adaptive 1-D quadrature of the slice volumes (cross-check)."""
     from scipy.integrate import quad
 
-    d = n if kernel_dim is None else kernel_dim
     vn = unit_ball_volume(n)
 
     def slice_vol(s: float) -> float:
         if s <= 0.0 or s >= SMAX:
             return 0.0
-        return vn * (2.0 * d * s * math.log(1.0 / (4.0 * math.pi * s))) ** (n / 2.0)
+        return vn * (2.0 * n * s * math.log(1.0 / (4.0 * math.pi * s))) ** (n / 2.0)
 
     val, _ = quad(slice_vol, 0.0, SMAX, limit=200)
     return val
@@ -252,8 +245,7 @@ def adjoint_constant(D, domain: Box, bump, budget: int = 100_000,
     num_mc = integrate(bump, ball, budget=budget, seed=seed).value
 
     dstar = D.adjoint()
-    axes = [np.linspace(c - radius, c + radius, 96) for c in center]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    mesh = _lattice([np.linspace(c - radius, c + radius, 96) for c in center])
     rng = np.random.default_rng(seed)
     pts = ball.sample(max(budget // 10, 1024), rng)
     den = float(np.max([np.max(np.abs(dstar.apply(bump, x)))

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import Box
+from .geometry import Box, _as_points, _lattice
 from .fields import (
     ScalarField,
     field_sum,
@@ -61,10 +61,6 @@ class CombSet:
         return len(self.rects)
 
     @property
-    def dim(self) -> int:
-        return 2
-
-    @property
     def measure_exact(self) -> Fraction:
         d = self.delta
         return d * (1 - d / 2) * self.count
@@ -77,20 +73,13 @@ class CombSet:
     def separation(self) -> Fraction:
         return self.delta * self.delta / 4
 
-    def contains(self, p):
-        pts = np.atleast_2d(np.asarray(p, dtype=float))
-        out = np.zeros(len(pts), dtype=bool)
-        for x0, x1, t0, t1 in self.rects:
-            out |= ((pts[:, 0] >= float(x0)) & (pts[:, 0] <= float(x1))
-                    & (pts[:, 1] >= float(t0)) & (pts[:, 1] <= float(t1)))
-        return bool(out[0]) if np.asarray(p).ndim == 1 else out
-
     def component_index(self, p, inflate: Fraction = Fraction(0)):
-        """Index of the (possibly inflated) rectangle containing each point,
-        or -1.  Inflation below half the separation keeps components disjoint."""
+        """Index of the (possibly inflated) rectangle containing each point
+        of an (N, 2) batch, or -1.  Inflation below half the separation keeps
+        components disjoint."""
         if inflate * 2 >= self.separation:
             raise ValueError("inflation would merge comb components")
-        pts = np.atleast_2d(np.asarray(p, dtype=float))
+        pts = _as_points(p, 2)
         idx = np.full(len(pts), -1, dtype=int)
         e = float(inflate)
         for i, (x0, x1, t0, t1) in enumerate(self.rects):
@@ -141,7 +130,7 @@ class _PiecewiseTarget:
         out = np.full(len(idx), np.nan)
         ok = idx >= 0
         out[ok] = self.values[idx[ok]]
-        return float(out[0]) if np.asarray(p).ndim == 1 else out
+        return out
 
 
 @dataclass
@@ -151,19 +140,16 @@ class CcwTarget:
     v: ScalarField
     w1: _PiecewiseTarget
     comb: CombSet
-    operator: str
     bound: float
 
 
-def ccw_target(comb: CombSet, operator: str = "laplace") -> CcwTarget:
+def ccw_target(comb: CombSet) -> CcwTarget:
     """v(x, t) = t^2/2 and the piecewise constant w_1 = c_i^2/2.
 
     On the delta^2/16-neighborhood of the comb, |v - w_1| <= delta + delta^2/8.
-    Only the Laplacian branch is constructed; the heat branch needs caloric
+    This is the Laplacian branch; the heat branch needs caloric
     approximation machinery that is out of scope.
     """
-    if operator != "laplace":
-        raise ValueError("only the Laplacian branch is implemented")
     v = polynomial_field({(0, 2): 0.5}, dim=2, name="t^2/2",
                          domain=Box((0.0, 0.0), (1.0, 1.0)))
     vals = []
@@ -173,7 +159,7 @@ def ccw_target(comb: CombSet, operator: str = "laplace") -> CcwTarget:
     inflate = comb.delta ** 2 / 16
     w1 = _PiecewiseTarget(comb, tuple(vals), inflate)
     bound = float(comb.delta + comb.delta**2 / 8)
-    return CcwTarget(v=v, w1=w1, comb=comb, operator=operator, bound=bound)
+    return CcwTarget(v=v, w1=w1, comb=comb, bound=bound)
 
 
 @dataclass
@@ -202,9 +188,7 @@ class HarmonicFit:
 
 def _rect_grid(rect, nx: int, nt: int) -> np.ndarray:
     x0, x1, t0, t1 = (float(v) for v in rect)
-    xs = np.linspace(x0, x1, nx)
-    ts = np.linspace(t0, t1, nt)
-    return np.stack(np.meshgrid(xs, ts, indexing="ij"), axis=-1).reshape(-1, 2)
+    return _lattice([np.linspace(x0, x1, nx), np.linspace(t0, t1, nt)])
 
 
 def fit_harmonic(target: CcwTarget, comb: CombSet, degree: int,
@@ -301,19 +285,19 @@ def assemble_ccw_witness(delta, degree: int, samples_per_rect: int = 64,
             "sublevel_slack": sub_hi - comb.measure}
 
 
-def hessian_family_check(N: float, c: float, grid: int = 64) -> dict:
+def hessian_family_check(N: float, c: float) -> dict:
     """u_N = (e^x sin(Ny) + e)/N on the unit square.
 
-    det(-Hess u_N) = e^{2x} for every N (checked on the grid against the
-    exponential directly), yet sup|u_N| <= 2e/N, so the superlevel set
+    det(-Hess u_N) = e^{2x} for every N (checked on a 64 x 64 grid against
+    the exponential directly), yet sup|u_N| <= 2e/N, so the superlevel set
     {|u_N| >= c} empties once N > 2e/c while the Hessian target never drops
     below 1.
     """
     if N < 1 or c <= 0:
         raise ValueError("need N >= 1 and c > 0")
     u = ccw_hessian_field(N)
-    xs = np.linspace(0.0, 1.0, grid)
-    pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
+    xs = np.linspace(0.0, 1.0, 64)
+    pts = _lattice([xs, xs])
     det = neg_hessian_det(u, pts)
     expected = np.exp(2.0 * pts[:, 0])
     max_rel_err = float(np.max(np.abs(det - expected) / expected))
@@ -321,11 +305,10 @@ def hessian_family_check(N: float, c: float, grid: int = 64) -> dict:
 
     ny = int(min(max(1024, 32 * N), 65536))
     ys = np.linspace(0.0, 1.0, ny)
-    fine = np.stack(np.meshgrid(np.linspace(0.0, 1.0, 128), ys,
-                                indexing="ij"), axis=-1).reshape(-1, 2)
+    fine = _lattice([np.linspace(0.0, 1.0, 128), ys])
     sup_grid = float(np.max(np.abs(u.fn(fine))))
     sup_bound = 2.0 * math.e / N
-    return {"N": N, "c": c, "grid": grid, "max_rel_err": max_rel_err,
+    return {"N": N, "c": c, "max_rel_err": max_rel_err,
             "min_det": min_det, "sup_grid": sup_grid, "sup_bound": sup_bound,
             "superlevel_empty": sup_bound < c,
             "superlevel_empty_on_grid": sup_grid < c}

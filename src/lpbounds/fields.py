@@ -59,11 +59,6 @@ class ScalarField:
     name: str = ""
     params: dict = dc_field(default_factory=dict)
 
-    def __call__(self, p):
-        pts, single = _as_points(p, self.dim)
-        v = np.asarray(self.fn(pts), dtype=float)
-        return float(v[0]) if single else v
-
 
 def field_sum(fields: Sequence[ScalarField], coeffs: Sequence[float] | None = None,
               name: str = "sum") -> ScalarField:
@@ -446,25 +441,25 @@ def random_heat_one(seed: int, n: int = 1, domain: Box | None = None) -> ScalarF
     return f
 
 
-def random_harmonic(seed: int, domain: Box | None = None,
-                    degree: int = 4) -> ScalarField:
-    """Random harmonic polynomial on the plane (includes a constant term)."""
+def random_harmonic(seed: int, domain: Box | None = None) -> ScalarField:
+    """Random harmonic polynomial of degree 4 on the plane (includes a
+    constant term)."""
     rng = np.random.default_rng(seed)
     if domain is None:
         domain = Box((0.0, 0.0), (1.0, 1.0))
     c = np.asarray(domain.center)
     scale = float(np.hypot(*domain.halfwidths()))
     pairs = [(0, complex(rng.normal(0, 0.5)))]
-    for k in range(1, degree + 1):
+    for k in range(1, 5):
         pairs.append((k, (rng.normal(0, 1) + 1j * rng.normal(0, 1)) / (2.0**k)))
     return harmonic_polynomial_field(pairs, center=tuple(c), scale=scale,
                                      domain=domain, name=f"harmonic-{seed}")
 
 
-def random_caloric(seed: int, n: int = 1, domain: Box | None = None,
-                   sources: int = 3) -> ScalarField:
-    """Random caloric field (Hu = 0): kernels with poles below the domain
-    plus a caloric polynomial mixture and a constant."""
+def random_caloric(seed: int, n: int = 1,
+                   domain: Box | None = None) -> ScalarField:
+    """Random caloric field (Hu = 0): three kernels with poles below the
+    domain plus a caloric polynomial mixture and a constant."""
     rng = np.random.default_rng(seed)
     if domain is None:
         domain = Box((0.0,) * n + (0.0,), (1.0,) * n + (1.0,))
@@ -472,7 +467,7 @@ def random_caloric(seed: int, n: int = 1, domain: Box | None = None,
     hi = np.asarray(domain.hi)
     parts = [polynomial_field({(0,) * (n + 1): 1.0}, dim=n + 1, domain=domain)]
     coeffs = [rng.normal(0, 0.3)]
-    for _ in range(sources):
+    for _ in range(3):
         x0 = rng.uniform(lo[:n] - 0.5, hi[:n] + 0.5)
         t0 = lo[-1] - rng.uniform(0.2, 0.8)
         parts.append(heat_kernel_field(n, tuple(x0) + (t0,), domain=domain))
@@ -531,7 +526,7 @@ class LinearOperator:
     def apply(self, f: ScalarField, p):
         if self.order > 2:
             raise NotImplementedError("operators of order > 2 are not applied")
-        pts, single = _as_points(p, self.dim)
+        pts = _as_points(p, self.dim)
         out = np.zeros(len(pts))
         vals = self._derivative(f, 0, pts)
         g = self._derivative(f, 1, pts)
@@ -549,7 +544,7 @@ class LinearOperator:
                     i = b.index(1)
                     j = b.index(1, i + 1)
                 out += a * h[:, i, j]
-        return float(out[0]) if single else out
+        return out
 
 
 def laplacian_operator(d: int) -> LinearOperator:
@@ -579,12 +574,9 @@ def mixed_xy_operator() -> LinearOperator:
     return LinearOperator(2, (((1, 1), 1.0),), name="dxdy")
 
 
-def neg_hessian_det(f: ScalarField, p):
-    """-det(Hess u); on the plane this is (u_xy)^2 - u_xx u_yy."""
-    pts, single = _as_points(p, f.dim)
-    h = f.hess_fn(pts)
-    out = -np.linalg.det(h)
-    return float(out[0]) if single else out
+def neg_hessian_det(f: ScalarField, p) -> np.ndarray:
+    """-det(Hess u) at an (N, d) batch; on the plane (u_xy)^2 - u_xx u_yy."""
+    return -np.linalg.det(f.hess_fn(_as_points(p, f.dim)))
 
 
 def positive_part(f: ScalarField) -> ScalarField:

@@ -29,7 +29,6 @@ __all__ = [
     "unit_ball_points",
     "euclidean_system",
     "parabolic_box_system",
-    "box_system",
     "build_radius_function",
     "euclidean_shrink",
     "heatball_shrink",
@@ -58,21 +57,20 @@ def unit_ball_points(d: int, count: int, rng: np.random.Generator,
     return scale * rad[:, None] * z
 
 
-def _as_points(p, dim: int) -> tuple[np.ndarray, bool]:
-    """Normalize a point or batch of points to shape (N, dim).
-
-    Returns the array and whether the input was a single point.
-    """
+def _as_points(p, dim: int) -> np.ndarray:
+    """p as an (N, dim) float array; ValueError on any other shape."""
     pts = np.asarray(p, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[1] != dim:
-        raise ValueError(f"expected points in R^{dim}, got shape {pts.shape}")
-    return pts, single
+    if pts.ndim != 2 or pts.shape[1] != dim:
+        raise ValueError(f"expected an (N, {dim}) batch of points, "
+                         f"got shape {pts.shape}")
+    return pts
 
 
-def _scalar_or_array(out: np.ndarray, single: bool):
-    return bool(out[0]) if single else out
+def _lattice(axes) -> np.ndarray:
+    """Every point of the product of the 1-D axes, shape (N, len(axes)),
+    with the last axis varying fastest."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"),
+                    axis=-1).reshape(-1, len(axes))
 
 
 @dataclass(frozen=True)
@@ -108,11 +106,10 @@ class Box:
         return (np.asarray(self.hi) - np.asarray(self.lo)) / 2.0
 
     def contains(self, p):
-        pts, single = _as_points(p, self.dim)
+        pts = _as_points(p, self.dim)
         lo = np.asarray(self.lo)
         hi = np.asarray(self.hi)
-        out = np.all((pts >= lo) & (pts <= hi), axis=1)
-        return _scalar_or_array(out, single)
+        return np.all((pts >= lo) & (pts <= hi), axis=1)
 
     def bounding_box(self) -> "Box":
         return self
@@ -143,9 +140,9 @@ class EuclideanBall:
         return unit_ball_volume(self.dim) * self.radius ** self.dim
 
     def contains(self, p):
-        pts, single = _as_points(p, self.dim)
+        pts = _as_points(p, self.dim)
         d2 = np.sum((pts - np.asarray(self.center)) ** 2, axis=1)
-        return _scalar_or_array(d2 < self.radius**2, single)
+        return d2 < self.radius**2
 
     def bounding_box(self) -> Box:
         c = np.asarray(self.center)
@@ -201,16 +198,12 @@ class Heatball:
         return self.m + self.spatial_dim
 
     @property
-    def measure(self):
-        return None
-
-    @property
     def depth(self) -> float:
         """Temporal extent r^2 / (4 pi)."""
         return self.radius**2 / (4.0 * math.pi)
 
     def contains(self, p):
-        pts, single = _as_points(p, self.dim)
+        pts = _as_points(p, self.dim)
         n = self.spatial_dim
         x = np.asarray(self.center[:n])
         t = self.center[-1]
@@ -221,7 +214,7 @@ class Heatball:
             d2 = np.sum((pts[ok, :n] - x) ** 2, axis=1)
             out[ok] = d2 < _slice_width_sq(tau[ok], self.radius, self.kernel_dim)
         out |= np.all(pts == np.asarray(self.center), axis=1)
-        return _scalar_or_array(out, single)
+        return out
 
     def bounding_box(self) -> Box:
         n = self.spatial_dim
@@ -268,13 +261,6 @@ def euclidean_system(d: int) -> BallSystem:
     return BallSystem(EuclideanBall((0.0,) * d, 1.0), (1.0,) * d, name=f"euclid-{d}")
 
 
-def box_system(halfwidths, lambdas, name: str = "box") -> BallSystem:
-    hw = tuple(float(v) for v in halfwidths)
-    return BallSystem(
-        Box(tuple(-v for v in hw), hw), tuple(lambdas), name=name
-    )
-
-
 def parabolic_box_system(m: int, n: int) -> BallSystem:
     """Spacetime boxes dominating the m-augmented heat balls in R^n x R.
 
@@ -286,7 +272,8 @@ def parabolic_box_system(m: int, n: int) -> BallSystem:
     d = m + n
     w = max(d / (math.pi * math.e), math.sqrt(d / (2.0 * math.pi * math.e)))
     hw = (w,) * n + (1.0 / (2.0 * math.pi),)
-    return box_system(hw, (1.0,) * n + (2.0,), name=f"parabolic-box-{m}-{n}")
+    return BallSystem(Box(tuple(-v for v in hw), hw), (1.0,) * n + (2.0,),
+                      name=f"parabolic-box-{m}-{n}")
 
 
 def _sup_bisect(predicate, hi: float = 1.0) -> float:
@@ -315,8 +302,8 @@ class RadiusFunction:
 
     B~_r(a) is the candidate box a + r^lambda . B~ where B~ is the smallest
     origin-symmetric axis-aligned box containing the domain.  The sup has a
-    closed form per axis; any other domain raises TypeError.  Like
-    contains, sup_radius and __call__ take one point or an (N, d) batch.
+    closed form per axis; any other domain raises TypeError.  sup_radius
+    and __call__ take an (N, d) batch of centers.
 
     The divisor (4 in general, 2 when every exponent is >= 1) makes the
     construction satisfy the two-sided admissibility axioms with ratio
@@ -334,7 +321,7 @@ class RadiusFunction:
             raise ValueError("system/domain dimension mismatch")
 
     def sup_radius(self, a):
-        pts, single = _as_points(a, self.system.dim)
+        pts = _as_points(a, self.system.dim)
         if not np.all(self.domain.contains(pts)):
             raise ValueError("center must lie in the domain")
         # the candidate box fits iff r^lambda_i w_i <= margin_i per axis
@@ -343,8 +330,7 @@ class RadiusFunction:
         margins = np.minimum(pts - lo, hi - pts)
         per_axis = ((margins / halfwidths)
                     ** (1.0 / np.asarray(self.system.lambdas)))
-        out = np.min(per_axis, axis=1)
-        return float(out[0]) if single else out
+        return np.min(per_axis, axis=1)
 
     def __call__(self, a):
         return self.sup_radius(a) / self.divisor

@@ -21,7 +21,8 @@ from functools import partial
 
 import numpy as np
 
-from .geometry import Box, Heatball, euclidean_system, unit_ball_volume
+from .geometry import (Box, Heatball, _lattice, euclidean_system,
+                       unit_ball_volume)
 from .fields import (
     ScalarField,
     polynomial_field,
@@ -124,9 +125,6 @@ class SuiteResult:
         if not self.config_hash:
             self.config_hash = _config_hash(self.config)
 
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
-
     def as_dict(self) -> dict:
         return {"schema_version": "1", "suite": self.name,
                 "overall": self.overall, "config": dict(self.config),
@@ -228,7 +226,7 @@ def _suite_l1_linear(cfg, seed):
         ("xy+x3y/6", {(1, 1): 1.0, (3, 1): 1.0 / 6.0}),
     ]
     xs = np.linspace(0.0, 1.0, 41)
-    grid = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
+    grid = _lattice([xs, xs])
     for label, coeffs in cases:
         u = polynomial_field(coeffs, dim=2, domain=square, name=label)
         sid = f"l1-linear/du-at-least-one[{label}]"
@@ -436,7 +434,7 @@ def _suite_mvi_family(cfg, seed):
                                 c_phi, seed=seed(sid), **sampling)
         yield sid, rep.violations == 0, rep.worst_margin
 
-    center = (0.5, 0.9)
+    centers = [(0.5, 0.9)]
     sid = "mvi/modified-normalization"
     one3 = _const_field(1.0, 2)
     res = modified_heatball_average(one3, (0.0, 0.0), 1.0, m=3,
@@ -445,20 +443,20 @@ def _suite_mvi_family(cfg, seed):
 
     sid = "mvi/modified-caloric"
     w = positive_part(random_caloric(seed(sid), n=1, domain=square))
-    rep = check_modified_heatball_mvi(w, 3, center, 0.5, budget=budget,
+    rep = check_modified_heatball_mvi(w, 3, centers, 0.5, budget=budget,
                                       seed=seed(sid))
     yield sid, rep.violations == 0, rep.worst_margin
 
     sid = "mvi/modified-subtemperature"
     sq = quadratic_field(2, center=(0.5, 0.0), coeff=0.5, spatial=True,
                          domain=square)
-    rep = check_modified_heatball_mvi(sq, 3, center, 0.5, budget=budget,
+    rep = check_modified_heatball_mvi(sq, 3, centers, 0.5, budget=budget,
                                       seed=seed(sid))
     yield sid, rep.violations == 0, rep.worst_margin
 
     sid = "mvi/modified-tenth-constant-fails"
     M = kappa_max(3, 1).closed_form
-    rep = check_modified_heatball_mvi(one3, 3, center, 0.5,
+    rep = check_modified_heatball_mvi(one3, 3, centers, 0.5,
                                       budget=budget, seed=seed(sid),
                                       constant=M / 10.0)
     yield sid, rep.violations == rep.trials, -rep.worst_margin
@@ -626,7 +624,7 @@ def _suite_counterexamples(cfg, seed):
     sups = {}
     for N in (10, 100, 1000):
         sid = f"ce/hessian-family[N={N}]"
-        rep = hessian_family_check(N, c=0.1, grid=64)
+        rep = hessian_family_check(N, c=0.1)
         sups[N] = rep["sup_grid"]
         ok = rep["max_rel_err"] <= 1e-11 and rep["min_det"] >= 1.0 - 1e-11
         if N > 2 * math.e / 0.1:

@@ -316,9 +316,36 @@ def test_check_modified_heatball_mvi():
     one = ScalarField(2, lambda pts: np.ones(len(pts)))
     from lpbounds.constants import kappa_max
     small = kappa_max(3, 1).closed_form / 10.0
-    bad = check_modified_heatball_mvi(one, 3, (0.5, 0.9), 1.0,
+    bad = check_modified_heatball_mvi(one, 3, [(0.5, 0.9)], 1.0,
                                       budget=50_000, constant=small)
     assert bad.violations == 1
+
+
+@pytest.mark.parametrize("trials, samples, message", [
+    (0, 64, "trials must be at least 1"),
+    (5, 1, "samples per trial must be at least 2"),
+    (5, 0, "samples per trial must be at least 2"),
+])
+def test_mvi_harness_rejects_empty_sizes(trials, samples, message):
+    u = ScalarField(2, lambda pts: np.ones(len(pts)),
+                    domain=Box((0.0, 0.0), (1.0, 1.0)))
+    sys2 = euclidean_system(2)
+    with pytest.raises(ValueError, match=message):
+        check_mvi(u, sys2, 1.0, trials=trials, seed=0,
+                  samples_per_trial=samples)
+
+
+def test_check_modified_heatball_mvi_domain_guard():
+    # E_m of radius 0.5 reaches 0.5 sqrt((m + 1)/(2 pi e)) in space: 0.296
+    # at m = 5 fits the square from x = 0.3, 0.32 at m = 6 does not
+    u = quadratic_field(2, spatial=True, domain=Box((0.0, 0.0), (1.0, 1.0)))
+    centers = [(0.3, 0.9), (0.5, 0.9)]
+    rep = check_modified_heatball_mvi(u, 5, centers, 0.5, budget=2000)
+    assert rep.trials == 2
+    with pytest.raises(ValueError, match="escapes the field's domain"):
+        check_modified_heatball_mvi(u, 6, centers, 0.5, budget=2000)
+    with pytest.raises(ValueError, match="batch of points"):
+        check_modified_heatball_mvi(u, 5, (0.5, 0.9), 0.5, budget=2000)
 
 
 def test_claim_laplace_drop():
@@ -365,7 +392,7 @@ def test_ball_average_linear_field_is_center_value(r, seed):
     # averaging a linear field over a symmetric ball recovers the center
     lin = polynomial_field({(1, 0): 2.0, (0, 1): -1.0, (0, 0): 0.3})
     res = ball_average(lin, (0.4, -0.2), r, budget=20_000, seed=seed)
-    exact = lin((0.4, -0.2))
+    exact = lin.fn(np.array([[0.4, -0.2]]))[0]
     assert abs(res.value - exact) <= 4 * max(res.std_error, 1e-12)
 
 
@@ -385,7 +412,7 @@ _BUDGETED = {
         _T, (0.0, 0.0), 0.5, m=3, budget=b),
     "heatball_unit_volume": lambda b: heatball_unit_volume(2, budget=b),
     "check_modified_heatball_mvi": lambda b: check_modified_heatball_mvi(
-        _T, 3, (0.0, 0.0), 0.5, budget=b),
+        _T, 3, [(0.0, 0.0)], 0.5, budget=b),
 }
 
 

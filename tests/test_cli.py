@@ -76,6 +76,29 @@ def test_deriv_check_bad_radius_same_error(tmp_path, capsys, radii, message):
     assert not (tmp_path / "deriv_check.csv").exists()
 
 
+def test_deriv_check_without_fields_exits_2(tmp_path, capsys):
+    # no field means no row: an empty CSV must not read as a pass
+    code = main(["deriv-check", "--op", "laplace", "--n", "2", "--fields", "0",
+                 "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --fields must be at least 1\n"
+    assert not (tmp_path / "deriv_check.csv").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--samples", "0"], "samples per trial must be at least 2"),
+    (["--samples", "1"], "samples per trial must be at least 2"),
+    (["--trials", "0"], "trials must be at least 1"),
+    (["--kind", "modified", "--m", "6"], "heat ball escapes the field's domain"),
+])
+def test_mvi_check_bad_sizes_exit_2(tmp_path, capsys, args, message):
+    # E_6 of radius 0.5 reaches 0.32 in space, past x = 0 from x = 0.3
+    code = main(["mvi-check", *args, "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "mvi_check.csv").exists()
+
+
 def test_mvi_check_overwrites_and_appends(tmp_path):
     args = ["mvi-check", "--kind", "plain", "--trials", "20",
             "--samples", "128", "--out-dir", str(tmp_path)]

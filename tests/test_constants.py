@@ -218,11 +218,9 @@ def test_sublevel_pmean_conversions_against_linear_field():
         pmean_to_sublevel_bound(-1.0, -0.5, 1.0, 0.1)
 
 
-def test_constant_report_rel_gap_and_row():
+def test_constant_report_rel_gap():
     rep = ConstantReport(name="x", closed_form=2.0, cross_check=2.1)
     assert rep.rel_gap == pytest.approx(0.05)
-    row = rep.as_row()
-    assert set(row) == {"name", "inputs", "closedForm", "crossCheck", "relGap"}
     assert ConstantReport(name="y", closed_form=1.0).rel_gap is None
 
 

@@ -55,20 +55,21 @@ def test_build_comb_validation():
     assert build_comb(Fraction(49, 100)).count == 1
 
 
-def test_comb_contains_and_components():
+def test_comb_component_index():
     comb = build_comb(Fraction(1, 4))
     x0, x1, t0, t1 = (float(v) for v in comb.rects[0])
     mid = ((x0 + x1) / 2, (t0 + t1) / 2)
-    assert comb.contains(mid)
-    assert not comb.contains((0.0, 0.0))
     idx = comb.component_index(np.array([mid, [0.0, 0.0]]))
     assert list(idx) == [0, -1]
     # a point just outside rectangle 0 is captured by a small inflation
     eps = comb.delta**2 / 16
     nudged = (x0 - float(eps) / 2, mid[1])
-    assert comb.component_index(nudged, inflate=eps)[0] == 0
+    assert list(comb.component_index([nudged])) == [-1]
+    assert list(comb.component_index([nudged], inflate=eps)) == [0]
     with pytest.raises(ValueError):
-        comb.component_index(mid, inflate=comb.separation / 2)
+        comb.component_index([mid], inflate=comb.separation / 2)
+    with pytest.raises(ValueError, match="batch of points"):
+        comb.component_index(mid)
 
 
 def test_ccw_target_values_and_bound():
@@ -78,12 +79,11 @@ def test_ccw_target_values_and_bound():
     for i, (_, _, t0, t1) in enumerate(comb.rects):
         c = float((t0 + t1) / 2)
         x = float((comb.rects[i][0] + comb.rects[i][1]) / 2)
-        assert target.w1((x, c)) == pytest.approx(c * c / 2, rel=1e-15)
+        assert target.w1([[x, c]])[0] == pytest.approx(c * c / 2, rel=1e-15)
         # v - w1 stays below the bound across the rectangle
-        assert abs(target.v((x, float(t1))) - c * c / 2) <= target.bound
-    assert math.isnan(target.w1((0.0, 0.0)))
-    with pytest.raises(ValueError):
-        ccw_target(comb, operator="heat")
+        top = target.v.fn(np.array([[x, float(t1)]]))[0]
+        assert abs(top - c * c / 2) <= target.bound
+    assert math.isnan(target.w1([[0.0, 0.0]])[0])
 
 
 def test_fit_harmonic_reproduces_constants():
@@ -182,6 +182,5 @@ def test_comb_properties_random_delta(num, den):
     assert comb.rects[-1][3] <= 1 - d * d / 4
     mids = [((float(r[0]) + float(r[1])) / 2, (float(r[2]) + float(r[3])) / 2)
             for r in comb.rects]
-    assert all(comb.contains(m) for m in mids)
     assert sorted(comb.component_index(np.asarray(mids))) == list(
         range(comb.count))

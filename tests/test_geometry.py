@@ -10,7 +10,6 @@ from lpbounds.geometry import (
     Heatball,
     BallSystem,
     euclidean_system,
-    box_system,
     parabolic_box_system,
     build_radius_function,
     euclidean_shrink,
@@ -35,11 +34,23 @@ def test_box_basics():
     assert b.dim == 2
     assert b.measure == pytest.approx(4.0)
     assert b.center == pytest.approx((1.0, 0.0))
-    assert b.contains((1.0, 0.5))
-    assert b.contains((0.0, -1.0))  # closed
-    assert not b.contains((2.1, 0.0))
+    # the second point is on the boundary: boxes are closed
+    assert list(b.contains([[1.0, 0.5], [0.0, -1.0], [2.1, 0.0]])) == [
+        True, True, False]
     with pytest.raises(ValueError):
         Box((0.0,), (0.0,))
+
+
+@pytest.mark.parametrize("p", [(1.0, 0.5), [[[1.0, 0.5]]], [[1.0, 0.5, 0.0]]])
+def test_points_must_be_an_n_by_dim_batch(p):
+    # one point is a (1, d) batch; a bare point or a wrong width raises
+    dom = Box((0.0, 0.0), (2.0, 1.0))
+    regions = [dom, EuclideanBall((1.0, 1.0), 0.5), Heatball((0.0, 0.0), 1.0)]
+    for region in regions:
+        with pytest.raises(ValueError, match="batch of points"):
+            region.contains(p)
+    with pytest.raises(ValueError, match="batch of points"):
+        build_radius_function(euclidean_system(2), dom)(p)
 
 
 def test_box_sample_inside():
@@ -52,8 +63,8 @@ def test_box_sample_inside():
 def test_euclidean_ball():
     ball = EuclideanBall((1.0, 1.0), 0.5)
     assert ball.measure == pytest.approx(math.pi * 0.25)
-    assert ball.contains((1.0, 1.0))
-    assert not ball.contains((1.5, 1.0))  # open ball
+    # the second point is on the sphere: balls are open
+    assert list(ball.contains([[1.0, 1.0], [1.5, 1.0]])) == [True, False]
     bb = ball.bounding_box()
     assert bb.lo == pytest.approx((0.5, 0.5))
     pts = ball.sample(400, np.random.default_rng(1))
@@ -62,14 +73,12 @@ def test_euclidean_ball():
 
 def test_heatball_center_and_strictness():
     hb = Heatball((0.0, 0.0), 1.0)
-    assert hb.contains((0.0, 0.0))  # the center belongs to its own ball
-    assert not hb.contains((0.0, 1e-9))  # future is out
-    assert not hb.contains((0.5, 0.0))
     s = SMAX / math.e
     w = math.sqrt(2.0 * s)  # slice half-width at log factor 1
-    assert hb.contains((0.99 * w, -s))
-    assert not hb.contains((1.01 * w, -s))
-    assert not hb.contains((0.0, -SMAX * 1.01))
+    pts = [[0.0, 0.0],  # the center belongs to its own ball
+           [0.0, 1e-9],  # the future is out
+           [0.5, 0.0], [0.99 * w, -s], [1.01 * w, -s], [0.0, -SMAX * 1.01]]
+    assert list(hb.contains(pts)) == [True, False, False, True, False, False]
 
 
 def test_heatball_bounding_box_reach():
@@ -89,7 +98,7 @@ def test_modified_heatball_contains_plain_one():
     assert (hb.kernel_dim, mhb.kernel_dim) == (1, 4)
     rng = np.random.default_rng(2)
     pts = hb.bounding_box().sample(4000, rng)
-    inside = pts[np.atleast_1d(hb.contains(pts))]
+    inside = pts[hb.contains(pts)]
     assert len(inside) > 100
     assert np.all(mhb.contains(inside))
     assert mhb.bounding_box().hi[0] == pytest.approx(
@@ -123,11 +132,11 @@ def test_radius_function_box_exact():
     dom = Box((0.0, 0.0), (1.0, 1.0))
     rf = build_radius_function(euclidean_system(2), dom)
     assert rf.divisor == 2.0
-    assert rf.sup_radius((0.5, 0.5)) == pytest.approx(0.5, rel=1e-9)
-    assert rf((0.5, 0.5)) == pytest.approx(0.25, rel=1e-9)
-    assert rf((0.1, 0.5)) == pytest.approx(0.05, rel=1e-9)
+    assert rf.sup_radius([[0.5, 0.5]])[0] == pytest.approx(0.5, rel=1e-9)
+    assert rf([[0.5, 0.5], [0.1, 0.5]]) == pytest.approx([0.25, 0.05],
+                                                         rel=1e-9)
     with pytest.raises(ValueError):
-        rf((1.5, 0.5))
+        rf([[1.5, 0.5]])
 
 
 def test_radius_function_rejects_non_box_domain():
@@ -142,40 +151,39 @@ def test_radius_function_batch_matches_per_point(dom):
     a = np.array([[0.5, 0.5], [0.1, 0.5], [0.3, 0.2], [0.0, 0.4]])
     batch = rf(a)
     assert batch.shape == (4,)
-    assert np.array_equal(batch, [rf(p) for p in a])
-    assert np.array_equal(rf.sup_radius(a), [rf.sup_radius(p) for p in a])
+    assert np.array_equal(batch, [rf(p[None])[0] for p in a])
+    assert np.array_equal(rf.sup_radius(a),
+                          [rf.sup_radius(p[None])[0] for p in a])
     with pytest.raises(ValueError):
         rf(np.vstack([a, [[5.0, 5.0]]]))
 
 
-def _system_box(sys, a, r):
-    """Corners a -+ r^lambda w of the system ball B_r(a) for a box unit ball."""
+def _fits(dom, sys, a, r):
+    """Whether both corners a -+ r^lambda w of the system ball B_r(a), for a
+    box unit ball, lie in dom."""
     w = np.asarray(r) ** np.asarray(sys.lambdas) * sys.unit_ball.halfwidths()
-    return np.asarray(a) - w, np.asarray(a) + w
+    return bool(np.all(dom.contains([np.asarray(a) - w, np.asarray(a) + w])))
 
 
 def test_radius_function_parabolic_divisor():
     dom = Box((0.0, 0.0), (1.0, 1.0))
     rf = build_radius_function(parabolic_box_system(3, 1), dom)
     assert rf.divisor == 2.0  # lambdas (1, 2) are all >= 1
-    r = rf.sup_radius((0.5, 0.5))
-    lo, hi = _system_box(rf.system, (0.5, 0.5), r * (1 - 1e-9))
-    assert dom.contains(lo) and dom.contains(hi)
+    r = rf.sup_radius([[0.5, 0.5]])[0]
+    assert _fits(dom, rf.system, (0.5, 0.5), r * (1 - 1e-9))
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.floats(0.05, 0.45), st.floats(0.05, 0.45), st.floats(0.1, 2.0))
 def test_radius_function_containment_property(ax, ay, lam):
     dom = Box((0.0, 0.0), (1.0, 1.0))
-    sys = box_system((1.0, 1.0), (1.0, lam))
+    sys = BallSystem(Box((-1.0, -1.0), (1.0, 1.0)), (1.0, lam))
     rf = build_radius_function(sys, dom)
     a = (ax, ay)
-    sup = rf.sup_radius(a)
+    sup = rf.sup_radius([a])[0]
     assert sup > 0
-    lo, hi = _system_box(sys, a, sup * (1 - 1e-9))
-    assert dom.contains(lo) and dom.contains(hi)
-    lo, hi = _system_box(sys, a, sup * 1.02)
-    assert not (dom.contains(lo) and dom.contains(hi))
+    assert _fits(dom, sys, a, sup * (1 - 1e-9))
+    assert not _fits(dom, sys, a, sup * 1.02)
 
 
 def test_sup_bisect_known_sup_and_never():
