@@ -12,10 +12,10 @@ _fd turns a per-sample term into the centered difference quotient in the
 radius; both radii share each sample (common random numbers), so the
 quotient carries an honest per-sample error.
 
-MVI checkers sample admissible pairs (a, r): a uniform in the Box domain
-and r uniform in (0, R(a)] where R is the radius function of the ball
-system on the domain, then test the mean value inequality with a 3-SE
-guard.
+MVI checkers test u_+, u_+^p or u_+^a on admissible pairs (a, r): a
+uniform in the field's Box domain, r uniform in (0, R(a)] with R from
+radius_function, R(0) = 1/2 and K = 2; the modified heat-ball MVI tests u_+
+at given centers.  One scorer flags a trial when lhs > rhs + 3 SE.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from .geometry import (
     Heatball,
     _as_points,
     _lattice,
-    build_radius_function,
     heatball_shrink,
     euclidean_shrink,
+    radius_function,
     unit_ball_points,
     unit_ball_volume,
 )
@@ -281,27 +281,21 @@ class MviCheckReport:
     worst_margin: float
     seed: int
 
-    def as_row(self) -> dict:
-        return {"kind": self.kind, "constant": self.constant,
-                "trials": self.trials, "violations": self.violations,
-                "worst_margin": self.worst_margin, "seed": self.seed}
+
+# R(0) and the ratio constant of the radius functions the MVIs assume
+R0 = 0.5
+K = 2.0
 
 
-def pmvi_constant(C: float, sys: BallSystem, R0: float, K: float,
-                  p: float) -> float:
+def pmvi_constant(C: float, sys: BallSystem, p: float) -> float:
     """C~_p = 2 R0^{-A} (2 K^A)^{(1-p)/p} C with A the system degree."""
-    if not 0.0 < R0 <= 1.0:
-        raise ValueError("R0 must lie in (0, 1]")
-    if K < 1.0:
-        raise ValueError("K must be at least 1")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     A = sys.degree
     return 2.0 * R0 ** (-A) * (2.0 * K**A) ** ((1.0 - p) / p) * C
 
 
-def concave_mvi_constant(C: float, sys: BallSystem, R0: float, K: float,
-                         c_phi: float) -> float:
+def concave_mvi_constant(C: float, sys: BallSystem, c_phi: float) -> float:
     """C_phi = 2 R0^{-A} c_phi^m C with m = ceil(log2(2 K^A)).
 
     Implementation-chosen closed form following the doubling proof sketch;
@@ -316,23 +310,15 @@ def concave_mvi_constant(C: float, sys: BallSystem, R0: float, K: float,
 
 def sample_admissible(sys: BallSystem, domain, trials: int,
                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """(a, r) pairs: a uniform in the Box domain, r uniform in (0, R(a)]."""
-    radius = build_radius_function(sys, domain)
+    """(a, r) pairs: a uniform in the Box domain, r uniform in (0, R(a)];
+    RuntimeError if a center lies on the boundary, where R(a) = 0."""
     a = domain.sample(trials, rng)
-    rmax = radius(a)
-    if np.all(rmax <= 0):
-        raise RuntimeError("no admissible (a, r) pair found")
+    rmax = radius_function(sys, domain, a)
+    if not np.all(rmax > 0.0):
+        raise RuntimeError("a center on the domain boundary has R(a) = 0")
     r = rng.random(trials) * rmax
-    bad = r <= 0
-    if np.any(bad):
-        r[bad] = rmax[bad] * 0.5
-        still = r <= 0
-        if np.any(still):
-            good = r[~still]
-            if len(good) == 0:
-                raise RuntimeError("no admissible (a, r) pair found")
-            r[still] = float(np.min(good))
-    return a, r
+    # a draw of exactly 0 gets half the admissible radius
+    return a, np.where(r > 0.0, r, 0.5 * rmax)
 
 
 _ESCALATION = (64, 2048)
@@ -342,11 +328,10 @@ def _mvi_harness(kind: str, values_of, sys: BallSystem, constant: float,
                  trials: int, seed: int, domain, samples: int) -> MviCheckReport:
     """Shared MVI test loop.
 
-    values_of maps raw field values to the tested transform (identity,
-    p-th power, concave map).  A trial is a violation when
-    lhs > rhs + 3 SE; trials whose ball sample mean is exactly zero while
-    lhs > 0 are re-run at larger sample counts before being scored (thin
-    positive slivers are otherwise invisible to small samples).  Raises
+    values_of maps points to the tested transform of the field (u_+ or
+    u_+ ** a).  Trials whose ball sample mean is exactly zero while lhs > 0
+    are re-run at larger sample counts before being scored (thin positive
+    slivers are otherwise invisible to small samples).  Raises
     ValueError without a domain, with no trial, or with fewer than two
     samples a trial (no standard error).
     """
@@ -392,13 +377,20 @@ def _mvi_harness(kind: str, values_of, sys: BallSystem, constant: float,
             if means[i] > 0.0:
                 break
 
-    rhs = constant * v1 * means
-    band = 3.0 * constant * v1 * ses
-    margins = rhs + band - lhs
-    violations = int(np.count_nonzero(~(margins >= 0.0)))
-    worst = float(np.min(margins))
-    return MviCheckReport(kind=kind, constant=constant, trials=trials,
-                          violations=violations, worst_margin=worst, seed=seed)
+    return _report(kind, constant, constant * v1, 3.0 * constant * v1, means,
+                   ses, lhs, seed)
+
+
+def _report(kind: str, constant: float, scale: float, band: float,
+            means: np.ndarray, ses: np.ndarray, lhs: np.ndarray,
+            seed: int) -> MviCheckReport:
+    """Scores trial i by scale * means[i] + band * ses[i] - lhs[i] (factors
+    as the callers compute them, which fixes the bits); a trial is a
+    violation unless its margin is >= 0, so NaN fails."""
+    margins = scale * means + band * ses - lhs
+    return MviCheckReport(kind=kind, constant=constant, trials=len(margins),
+                          violations=int(np.count_nonzero(~(margins >= 0.0))),
+                          worst_margin=float(np.min(margins)), seed=seed)
 
 
 def _positive_values(u_plus):
@@ -406,6 +398,12 @@ def _positive_values(u_plus):
         return np.maximum(np.asarray(u_plus.fn(pts), dtype=float), 0.0)
 
     return values
+
+
+def _power_values(u_plus, a: float):
+    """Map of points to u_+ ** a."""
+    base = _positive_values(u_plus)
+    return lambda pts: base(pts) ** a
 
 
 def check_mvi(u_plus, sys: BallSystem, C: float, trials: int = 1000,
@@ -419,44 +417,32 @@ def check_mvi(u_plus, sys: BallSystem, C: float, trials: int = 1000,
 
 def check_pmvi(u_plus, sys: BallSystem, C: float, p: float, trials: int = 1000,
                seed: int = 0, samples_per_trial: int = 1024) -> MviCheckReport:
-    """p-th power MVI with the closed-form constant from pmvi_constant at
-    R0 = 1/2, K = 2."""
-    ctil = pmvi_constant(C, sys, 0.5, 2.0, p)
-    base = _positive_values(u_plus)
+    """p-th power MVI with the closed-form constant from pmvi_constant."""
+    return _mvi_harness(f"pmvi[p={p:g}]", _power_values(u_plus, p), sys,
+                        pmvi_constant(C, sys, p), trials, seed, u_plus.domain,
+                        samples_per_trial)
 
-    def values(pts):
-        return base(pts) ** p
 
-    return _mvi_harness(f"pmvi[p={p:g}]", values, sys, ctil, trials, seed,
+def check_concave_mvi(u_plus, sys: BallSystem, C: float, a: float,
+                      trials: int = 1000, seed: int = 0,
+                      samples_per_trial: int = 1024) -> MviCheckReport:
+    """MVI for the concave map phi(u_+) = u_+^a, a in (0, 1], with the
+    implementation-chosen doubling constant.
+
+    phi^{-1}(2t) = c_phi phi^{-1}(t) with c_phi = 2^{1/a}.
+    """
+    if not 0.0 < a <= 1.0:
+        raise ValueError("a must lie in (0, 1]")
+    c_phi = 2.0 ** (1.0 / a)
+    return _mvi_harness(f"concave[c_phi={c_phi:g}]", _power_values(u_plus, a),
+                        sys, concave_mvi_constant(C, sys, c_phi), trials, seed,
                         u_plus.domain, samples_per_trial)
 
 
-def check_concave_mvi(u_plus, sys: BallSystem, C: float, phi, c_phi: float,
-                      trials: int = 1000, seed: int = 0,
-                      samples_per_trial: int = 1024) -> MviCheckReport:
-    """MVI for phi(u_+) with the implementation-chosen doubling constant at
-    R0 = 1/2, K = 2.
-
-    phi must be a vectorized concave increasing map with phi(0) = 0; c_phi
-    bounds phi^{-1}(2t) <= c_phi phi^{-1}(t).
-    """
-    z = float(np.asarray(phi(np.zeros(1)))[0])
-    if abs(z) > 1e-12:
-        raise ValueError("phi(0) must be 0")
-    cphi_const = concave_mvi_constant(C, sys, 0.5, 2.0, c_phi)
-    base = _positive_values(u_plus)
-
-    def values(pts):
-        return np.asarray(phi(base(pts)), dtype=float)
-
-    return _mvi_harness(f"concave[c_phi={c_phi:g}]", values, sys, cphi_const,
-                        trials, seed, u_plus.domain, samples_per_trial)
-
-
-def check_modified_heatball_mvi(u_plus, m: int, centers, R: float,
+def check_modified_heatball_mvi(u_plus, m: int, centers,
                                 budget: int = 100_000, seed: int = 0,
                                 constant: float | None = None) -> MviCheckReport:
-    """u_+(x, t) <= (M_{m,n}/R^{n+2}) int_{E_m(x,t;R)} u_+ + 3 SE.
+    """u_+(x, t) <= (M_{m,n}/R^{n+2}) int_{E_m(x,t;R)} u_+ + 3 SE at R = 1/2.
 
     centers is an (N, n + 1) batch; each center gets one trial, and each
     E_m(center; R) must lie in u_plus's domain box.  constant overrides
@@ -464,25 +450,20 @@ def check_modified_heatball_mvi(u_plus, m: int, centers, R: float,
     """
     from .constants import kappa_max
 
+    R = 0.5
     centers = _as_points(centers, u_plus.dim)
     n = centers.shape[1] - 1
     M = kappa_max(m, n).closed_form if constant is None else float(constant)
     base = _positive_values(u_plus)
-    margins = np.empty(len(centers))
     scale = R ** (n + 2)
-    for i, c in enumerate(centers):
-        res = _heatball_mean(
-            u_plus, c, R, m,
-            lambda y, s, w: scale * base(_heatball_points(c, R, y, s)) * w,
-            budget, seed + i)
-        lhs = float(base(c[None])[0])
-        rhs = (M / R ** (n + 2)) * res.value
-        band = 3.0 * (M / R ** (n + 2)) * res.std_error
-        margins[i] = rhs + band - lhs
-    return MviCheckReport(kind=f"modified-heatball[m={m}]", constant=M,
-                          trials=len(centers),
-                          violations=int(np.count_nonzero(~(margins >= 0.0))),
-                          worst_margin=float(np.min(margins)), seed=seed)
+    res = [_heatball_mean(
+        u_plus, c, R, m,
+        lambda y, s, w: scale * base(_heatball_points(c, R, y, s)) * w,
+        budget, seed + i) for i, c in enumerate(centers)]
+    factor = M / R ** (n + 2)
+    return _report(f"modified-heatball[m={m}]", M, factor, 3.0 * factor,
+                   np.array([q.value for q in res]),
+                   np.array([q.std_error for q in res]), base(centers), seed)
 
 
 def dense_box_sup(u, box: Box, interior: int = 128,

@@ -20,8 +20,6 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 __all__ = ["main"]
 
 _CPUS = os.cpu_count() or 1
@@ -343,7 +341,7 @@ def _cmd_mvi_check(cfg: dict, out_dir: str) -> int:
     if kind == "modified":
         u = positive_part(random_caloric(cfg["seed"], n=1, domain=square))
         centers = [(0.3, 0.9), (0.5, 0.9), (0.7, 0.9)]
-        rep = check_modified_heatball_mvi(u, cfg["m"], centers, 0.5,
+        rep = check_modified_heatball_mvi(u, cfg["m"], centers,
                                           budget=cfg["budget"],
                                           seed=cfg["seed"])
     else:
@@ -357,16 +355,14 @@ def _cmd_mvi_check(cfg: dict, out_dir: str) -> int:
                              seed=cfg["seed"],
                              samples_per_trial=cfg["samples"])
         else:
-            phis = {"sqrt": (np.sqrt, 4.0),
-                    "identity": (lambda t: t, 2.0),
-                    "t075": (lambda t: t**0.75, 2.0 ** (4.0 / 3.0))}
-            phi, c_phi = phis[cfg["phi"]]
-            rep = check_concave_mvi(u, sysE, C, phi, c_phi,
+            # --phi names the concave map t^a by its exponent a
+            a = {"sqrt": 0.5, "identity": 1.0, "t075": 0.75}[cfg["phi"]]
+            rep = check_concave_mvi(u, sysE, C, a,
                                     trials=cfg["trials"], seed=cfg["seed"],
                                     samples_per_trial=cfg["samples"])
     header = ["kind", "constant", "trials", "violations", "worst_margin",
               "seed"]
-    row = [rep.as_row()[k] for k in header]
+    row = [getattr(rep, k) for k in header]
     _write_csv(os.path.join(out_dir, "mvi_check.csv"), header, [row])
     _append_csv(os.path.join(out_dir, "mvi_audit.csv"), header, row)
     print(f"{rep.kind}: violations={rep.violations}/{rep.trials} "

@@ -159,14 +159,15 @@ def kappa(m: int, n: int, y, s):
     return float(out[0]) if single else out
 
 
-def golden_max(fn, lo: float, hi: float, iters: int = 160) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal function on [lo, hi]."""
+def golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section maximization of a unimodal function on [lo, hi], in
+    160 steps."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = float(lo), float(hi)
     c1 = b - invphi * (b - a)
     c2 = a + invphi * (b - a)
     f1, f2 = fn(c1), fn(c2)
-    for _ in range(iters):
+    for _ in range(160):
         if f1 < f2:
             a, c1, f1 = c1, c2, f2
             c2 = a + invphi * (b - a)
@@ -289,7 +290,7 @@ def assemble_cp_laplace(n: int, omega: Box, p: float, budget: int = 100_000,
     kn = k_laplace(n)
     c = kn * R2 * R2 / 2.0
     sys = euclidean_system(n)
-    ctil = pmvi_constant(1.0 / unit_ball_volume(n), sys, 0.5, 2.0, p)
+    ctil = pmvi_constant(1.0 / unit_ball_volume(n), sys, p)
     branch1 = c * (R1**n / ctil) ** (1.0 / p)
     shr = euclidean_shrink(omega, R1 + R2)
     vol_exact = shr.measure
@@ -340,7 +341,7 @@ def assemble_cp_heat(n: int, m: int, omega: Box, p: float,
     kn = k_heat_value(n)
     c = kn * R2 * R2 / 2.0
     mreport = kappa_max(m, n)
-    ctil = pmvi_constant(mreport.closed_form, sys, 0.5, 2.0, p)
+    ctil = pmvi_constant(mreport.closed_form, sys, p)
     branch1 = c * (R1 ** (n + 2) / ctil) ** (1.0 / p)
     omt = heatball_shrink(s1, R2, n)
     if omt is None:

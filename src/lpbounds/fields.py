@@ -226,14 +226,12 @@ def harmonic_polynomial_field(pairs: Sequence[tuple[int, complex]],
                                "scale": s})
 
 
-def ccw_hessian_field(N: float, domain: Box | None = None) -> ScalarField:
-    """u_N(x, y) = (e^x sin(N y) + e) / N.
+def ccw_hessian_field(N: float) -> ScalarField:
+    """u_N(x, y) = (e^x sin(N y) + e) / N on the unit square.
 
     det(-Hess) = e^{2x} exactly for every N, while sup|u_N| = 2e/N.
     """
     N = float(N)
-    if domain is None:
-        domain = Box((0.0, 0.0), (1.0, 1.0))
 
     def fn(pts):
         return (np.exp(pts[:, 0]) * np.sin(N * pts[:, 1]) + math.e) / N
@@ -256,7 +254,8 @@ def ccw_hessian_field(N: float, domain: Box | None = None) -> ScalarField:
         h[:, 1, 1] = -N * ex * sin
         return h
 
-    return ScalarField(2, fn, grad_fn, hess_fn, domain=domain,
+    return ScalarField(2, fn, grad_fn, hess_fn,
+                       domain=Box((0.0, 0.0), (1.0, 1.0)),
                        name=f"ccw-hessian-{N:g}", params={"N": N})
 
 
@@ -380,17 +379,16 @@ def heat_polynomial_field(k: int, axis: int = 0, dim: int = 2,
     return polynomial_field(coeffs, dim=dim, domain=domain, name=f"caloric-{k}")
 
 
-def monomial_field(k: int, domain: Box | None = None) -> ScalarField:
-    """x^k on an interval (defaults to (0,1))."""
-    if domain is None:
-        domain = Box((0.0,), (1.0,))
-    return polynomial_field({(k,): 1.0}, dim=1, domain=domain, name=f"x^{k}")
+def monomial_field(k: int) -> ScalarField:
+    """x^k on the interval (0, 1)."""
+    return polynomial_field({(k,): 1.0}, dim=1, domain=Box((0.0,), (1.0,)),
+                            name=f"x^{k}")
 
 
-def neg_time_field(n: int, domain: Box | None = None) -> ScalarField:
-    """u(x, t) = -t in n spatial dimensions; Hu = 1 exactly."""
+def neg_time_field(n: int) -> ScalarField:
+    """u(x, t) = -t in n spatial dimensions, with no domain; Hu = 1 exactly."""
     coeffs = {tuple([0] * n + [1]): -1.0}
-    return polynomial_field(coeffs, dim=n + 1, domain=domain, name="neg-time")
+    return polynomial_field(coeffs, dim=n + 1, name="neg-time")
 
 
 def random_laplace_one(seed: int, domain: Box | None = None) -> ScalarField:

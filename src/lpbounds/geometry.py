@@ -24,12 +24,11 @@ __all__ = [
     "EuclideanBall",
     "Heatball",
     "BallSystem",
-    "RadiusFunction",
     "unit_ball_volume",
     "unit_ball_points",
     "euclidean_system",
     "parabolic_box_system",
-    "build_radius_function",
+    "radius_function",
     "euclidean_shrink",
     "heatball_shrink",
     "system_shrink",
@@ -296,54 +295,30 @@ def _sup_bisect(predicate, hi: float = 1.0) -> float:
     return lo
 
 
-@dataclass
-class RadiusFunction:
-    """R(a) = sup{r : B~_r(a) subset domain} / divisor on a Box domain.
+def radius_function(sys: BallSystem, domain, a) -> np.ndarray:
+    """R(a) = sup{r : B~_r(a) subset domain} / divisor, of Prop-2.9 type.
 
-    B~_r(a) is the candidate box a + r^lambda . B~ where B~ is the smallest
-    origin-symmetric axis-aligned box containing the domain.  The sup has a
-    closed form per axis; any other domain raises TypeError.  sup_radius
-    and __call__ take an (N, d) batch of centers.
-
-    The divisor (4 in general, 2 when every exponent is >= 1) makes the
-    construction satisfy the two-sided admissibility axioms with ratio
-    constant K = 2.
+    a is an (N, d) batch of centers in a Box domain.  B~_r(a) is the
+    candidate box a + r^lambda . B~ where B~ is the smallest origin-symmetric
+    axis-aligned box containing the domain; the sup has a closed form per
+    axis.  Any other domain raises TypeError.  The divisor, 2 when every
+    scaling exponent is >= 1 and 4 in general, makes the construction
+    satisfy the two-sided admissibility axioms with ratio constant K = 2.
     """
-
-    system: BallSystem
-    domain: Box
-    divisor: float
-
-    def __post_init__(self):
-        if not isinstance(self.domain, Box):
-            raise TypeError("radius functions are defined on Box domains only")
-        if self.system.dim != self.domain.dim:
-            raise ValueError("system/domain dimension mismatch")
-
-    def sup_radius(self, a):
-        pts = _as_points(a, self.system.dim)
-        if not np.all(self.domain.contains(pts)):
-            raise ValueError("center must lie in the domain")
-        # the candidate box fits iff r^lambda_i w_i <= margin_i per axis
-        lo, hi = np.asarray(self.domain.lo), np.asarray(self.domain.hi)
-        halfwidths = np.maximum(np.abs(lo), np.abs(hi))
-        margins = np.minimum(pts - lo, hi - pts)
-        per_axis = ((margins / halfwidths)
-                    ** (1.0 / np.asarray(self.system.lambdas)))
-        return np.min(per_axis, axis=1)
-
-    def __call__(self, a):
-        return self.sup_radius(a) / self.divisor
-
-
-def build_radius_function(sys: BallSystem, domain) -> RadiusFunction:
-    """Radius function of Prop-2.9 type for a ball system on a domain.
-
-    Divisor 2 when all scaling exponents are >= 1 (the candidate boxes are
-    then monotone under r-halving in the required way), 4 in general.
-    """
+    if not isinstance(domain, Box):
+        raise TypeError("radius functions are defined on Box domains only")
+    if sys.dim != domain.dim:
+        raise ValueError("system/domain dimension mismatch")
+    pts = _as_points(a, sys.dim)
+    if not np.all(domain.contains(pts)):
+        raise ValueError("center must lie in the domain")
+    # the candidate box fits iff r^lambda_i w_i <= margin_i per axis
+    lo, hi = np.asarray(domain.lo), np.asarray(domain.hi)
+    halfwidths = np.maximum(np.abs(lo), np.abs(hi))
+    margins = np.minimum(pts - lo, hi - pts)
+    per_axis = (margins / halfwidths) ** (1.0 / np.asarray(sys.lambdas))
     divisor = 2.0 if all(v >= 1.0 for v in sys.lambdas) else 4.0
-    return RadiusFunction(system=sys, domain=domain, divisor=divisor)
+    return np.min(per_axis, axis=1) / divisor
 
 
 def _inset(box: Box, lo_margin, hi_margin) -> Box | None:

@@ -406,13 +406,13 @@ def _suite_mvi_family(cfg, seed):
 
     sid = "mvi/pmvi-constant-closed-form"
     # 2 * 0.5^{-2} * (2 * 2^2)^{(1-p)/p} * C at p = 1/2 is 64 C exactly
-    got = pmvi_constant(1.0 / v2, sysE, 0.5, 2.0, 0.5)
+    got = pmvi_constant(1.0 / v2, sysE, 0.5)
     err = abs(got - 64.0 / v2) / (64.0 / v2)
     yield sid, err <= 1e-12, 1e-12 - err
 
     sid = "mvi/concave-constant-closed-form"
     # c_phi = 2, K = 2, A = 2 give m = 3 doublings and the same 64 C
-    got = concave_mvi_constant(1.0 / v2, sysE, 0.5, 2.0, 2.0)
+    got = concave_mvi_constant(1.0 / v2, sysE, 2.0)
     err = abs(got - 64.0 / v2) / (64.0 / v2)
     yield sid, err <= 1e-12, 1e-12 - err
 
@@ -423,15 +423,10 @@ def _suite_mvi_family(cfg, seed):
     ok = bool(np.all(r > 0) and np.all(room >= -1e-12))
     yield sid, ok, float(np.min(room))
 
-    concaves = [
-        ("sqrt", np.sqrt, 4.0),
-        ("identity", lambda t: t, 2.0),
-        ("t^0.75", lambda t: t**0.75, 2.0 ** (4.0 / 3.0)),
-    ]
-    for label, phi, c_phi in concaves:
+    for label, a in (("sqrt", 0.5), ("identity", 1.0), ("t^0.75", 0.75)):
         sid = f"mvi/concave[{label}]"
-        rep = check_concave_mvi(harmonic_plus(sid), sysE, 1.0 / v2, phi,
-                                c_phi, seed=seed(sid), **sampling)
+        rep = check_concave_mvi(harmonic_plus(sid), sysE, 1.0 / v2, a,
+                                seed=seed(sid), **sampling)
         yield sid, rep.violations == 0, rep.worst_margin
 
     centers = [(0.5, 0.9)]
@@ -443,22 +438,21 @@ def _suite_mvi_family(cfg, seed):
 
     sid = "mvi/modified-caloric"
     w = positive_part(random_caloric(seed(sid), n=1, domain=square))
-    rep = check_modified_heatball_mvi(w, 3, centers, 0.5, budget=budget,
+    rep = check_modified_heatball_mvi(w, 3, centers, budget=budget,
                                       seed=seed(sid))
     yield sid, rep.violations == 0, rep.worst_margin
 
     sid = "mvi/modified-subtemperature"
     sq = quadratic_field(2, center=(0.5, 0.0), coeff=0.5, spatial=True,
                          domain=square)
-    rep = check_modified_heatball_mvi(sq, 3, centers, 0.5, budget=budget,
+    rep = check_modified_heatball_mvi(sq, 3, centers, budget=budget,
                                       seed=seed(sid))
     yield sid, rep.violations == 0, rep.worst_margin
 
     sid = "mvi/modified-tenth-constant-fails"
     M = kappa_max(3, 1).closed_form
-    rep = check_modified_heatball_mvi(one3, 3, centers, 0.5,
-                                      budget=budget, seed=seed(sid),
-                                      constant=M / 10.0)
+    rep = check_modified_heatball_mvi(one3, 3, centers, budget=budget,
+                                      seed=seed(sid), constant=M / 10.0)
     yield sid, rep.violations == rep.trials, -rep.worst_margin
 
 

@@ -11,7 +11,7 @@ from lpbounds.geometry import (
     BallSystem,
     euclidean_system,
     parabolic_box_system,
-    build_radius_function,
+    radius_function,
     euclidean_shrink,
     heatball_shrink,
     system_shrink,
@@ -50,7 +50,7 @@ def test_points_must_be_an_n_by_dim_batch(p):
         with pytest.raises(ValueError, match="batch of points"):
             region.contains(p)
     with pytest.raises(ValueError, match="batch of points"):
-        build_radius_function(euclidean_system(2), dom)(p)
+        radius_function(euclidean_system(2), dom, p)
 
 
 def test_box_sample_inside():
@@ -130,32 +130,31 @@ def test_parabolic_box_dominates_unit_modified_ball():
 
 def test_radius_function_box_exact():
     dom = Box((0.0, 0.0), (1.0, 1.0))
-    rf = build_radius_function(euclidean_system(2), dom)
-    assert rf.divisor == 2.0
-    assert rf.sup_radius([[0.5, 0.5]])[0] == pytest.approx(0.5, rel=1e-9)
-    assert rf([[0.5, 0.5], [0.1, 0.5]]) == pytest.approx([0.25, 0.05],
-                                                         rel=1e-9)
-    with pytest.raises(ValueError):
-        rf([[1.5, 0.5]])
+    # sup radius 0.5 at the center and 0.1 near the edge, over divisor 2
+    got = radius_function(euclidean_system(2), dom, [[0.5, 0.5], [0.1, 0.5]])
+    assert got == pytest.approx([0.25, 0.05], rel=1e-9)
+    with pytest.raises(ValueError, match="center must lie in the domain"):
+        radius_function(euclidean_system(2), dom, [[1.5, 0.5]])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        radius_function(euclidean_system(3), dom, [[0.5, 0.5, 0.5]])
 
 
 def test_radius_function_rejects_non_box_domain():
     with pytest.raises(TypeError):
-        build_radius_function(euclidean_system(2),
-                              EuclideanBall((0.0, 0.0), 1.0))
+        radius_function(euclidean_system(2), EuclideanBall((0.0, 0.0), 1.0),
+                        [[0.0, 0.0]])
 
 
 @pytest.mark.parametrize("dom", [Box((0.0, 0.0), (1.0, 1.0))])
 def test_radius_function_batch_matches_per_point(dom):
-    rf = build_radius_function(euclidean_system(2), dom)
+    sys = euclidean_system(2)
     a = np.array([[0.5, 0.5], [0.1, 0.5], [0.3, 0.2], [0.0, 0.4]])
-    batch = rf(a)
+    batch = radius_function(sys, dom, a)
     assert batch.shape == (4,)
-    assert np.array_equal(batch, [rf(p[None])[0] for p in a])
-    assert np.array_equal(rf.sup_radius(a),
-                          [rf.sup_radius(p[None])[0] for p in a])
+    assert np.array_equal(batch, [radius_function(sys, dom, p[None])[0]
+                                  for p in a])
     with pytest.raises(ValueError):
-        rf(np.vstack([a, [[5.0, 5.0]]]))
+        radius_function(sys, dom, np.vstack([a, [[5.0, 5.0]]]))
 
 
 def _fits(dom, sys, a, r):
@@ -167,10 +166,12 @@ def _fits(dom, sys, a, r):
 
 def test_radius_function_parabolic_divisor():
     dom = Box((0.0, 0.0), (1.0, 1.0))
-    rf = build_radius_function(parabolic_box_system(3, 1), dom)
-    assert rf.divisor == 2.0  # lambdas (1, 2) are all >= 1
-    r = rf.sup_radius([[0.5, 0.5]])[0]
-    assert _fits(dom, rf.system, (0.5, 0.5), r * (1 - 1e-9))
+    sys = parabolic_box_system(3, 1)
+    # lambdas (1, 2) are all >= 1, so the sup radius min(0.5, 0.5^{1/2})
+    # is divided by 2
+    got = radius_function(sys, dom, [[0.5, 0.5]])[0]
+    assert got == pytest.approx(0.25, rel=1e-12)
+    assert _fits(dom, sys, (0.5, 0.5), 2.0 * got * (1 - 1e-9))
 
 
 @settings(max_examples=25, deadline=None)
@@ -178,9 +179,10 @@ def test_radius_function_parabolic_divisor():
 def test_radius_function_containment_property(ax, ay, lam):
     dom = Box((0.0, 0.0), (1.0, 1.0))
     sys = BallSystem(Box((-1.0, -1.0), (1.0, 1.0)), (1.0, lam))
-    rf = build_radius_function(sys, dom)
     a = (ax, ay)
-    sup = rf.sup_radius([a])[0]
+    # R(a) is the sup radius over 2 when every exponent is >= 1, else over 4
+    divisor = 2.0 if lam >= 1.0 else 4.0
+    sup = divisor * radius_function(sys, dom, [a])[0]
     assert sup > 0
     assert _fits(dom, sys, a, sup * (1 - 1e-9))
     assert not _fits(dom, sys, a, sup * 1.02)

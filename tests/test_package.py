@@ -30,3 +30,79 @@ def test_every_public_function_has_a_caller_in_the_package():
             if uses <= 2:
                 unused.append(f"{path.name}:{name}")
     assert unused == []
+
+
+# cli.main's argv is the command line, which comes from outside the
+# package: __main__ passes nothing and the tests pass their own lists
+_KNOB_ALLOWED = {"cli.main": {"argv"}}
+
+
+def _bound_arguments(call, params):
+    """{parameter: argument node or None (unknown)} a call sets."""
+    bound = {}
+    for name, arg in zip(params, call.args):
+        if isinstance(arg, ast.Starred):
+            break
+        bound[name] = arg
+    for kw in call.keywords:
+        if kw.arg is not None:
+            bound[kw.arg] = kw.value
+    unpacked = (any(isinstance(a, ast.Starred) for a in call.args)
+                or any(kw.arg is None for kw in call.keywords))
+    if unpacked:
+        # *args or **kwargs may set anything left
+        bound.update({name: None for name in params if name not in bound})
+    return bound
+
+
+def test_no_public_parameter_is_a_fixed_knob():
+    # a parameter of a public function is a knob left unturned when it has
+    # a default that no call in the package sets, or when every call in the
+    # package passes it the same literal (at least two calls).  Functions
+    # used as values (aliased, or handed to partial) are skipped, since
+    # their calls cannot be traced by name.
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))
+             if path.name != "__init__.py"}
+    defs = {}
+    for module, tree in trees.items():
+        public = set(_public_functions(tree))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in public:
+                defs[node.name] = (module, node)
+    calls = {name: [] for name in defs}
+    as_value = set()
+    for tree in trees.values():
+        callees = set()
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in calls):
+                calls[node.func.id].append(node)
+                callees.add(id(node.func))
+        as_value |= {node.id for node in ast.walk(tree)
+                     if isinstance(node, ast.Name) and node.id in calls
+                     and isinstance(node.ctx, ast.Load)
+                     and id(node) not in callees}
+    knobs = []
+    for name, (module, fn) in defs.items():
+        if name in as_value:
+            continue
+        args = fn.args
+        params = [a.arg for a in args.posonlyargs + args.args]
+        defaulted = set(params[len(params) - len(args.defaults):])
+        defaulted |= {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None}
+        bound = [_bound_arguments(call, params) for call in calls[name]]
+        for param in params + [a.arg for a in args.kwonlyargs]:
+            if param in _KNOB_ALLOWED.get(f"{module}.{name}", ()):
+                continue
+            passed = [b[param] for b in bound if param in b]
+            literals = [node.value for node in passed
+                        if isinstance(node, ast.Constant)]
+            if param in defaulted and not passed:
+                knobs.append(f"{module}.{name}:{param} (never set)")
+            elif (len(literals) == len(calls[name]) >= 2
+                  and len({repr(v) for v in literals}) == 1):
+                knobs.append(f"{module}.{name}:{param} (always "
+                             f"{literals[0]!r})")
+    assert knobs == []

@@ -4,9 +4,10 @@ Usage: python3 tools/same_outputs.py OUT_DIR
 
 Runs each CLI command (constants; deriv-check for laplace at n = 1, 2 and
 3 and for heat at n = 1, 2 and 3; mvi-check for every kind, again for
-each harness kind across block boundaries, and again for the modified kind
-at --seed 3 with m = 3 and m = 5; counterexample ccw; pmeans for both
-families) and every verification suite, twice: at its
+each harness kind across block boundaries, again for the concave kind with
+--phi identity and --phi t075, and again for the modified kind at --seed 3
+with m = 3 and m = 5; counterexample ccw; pmeans for both families) and
+every verification suite, twice: at its
 defaults with --budget 150000, and at --seed 5 --fields 6 --p 0.3 --budget
 70000, so that a misrouted per-check seed or a wrong field-count loop bound
 changes the output.  Every run is made once with --threads 1 and once with
@@ -21,7 +22,9 @@ samples per 65,536-point block, so the mvi-check runs at 300 trials take
 four full blocks and a ragged fifth of 40 trials.  They run at --seed 2,
 where the plain kind's worst margin is a live trial margin rather than a
 tie at 0.0, so a harness whose results depend on the block size changes
-that row.  The modified kind's seed-0 row ties at a worst margin of 0.0,
+that row.  The two extra concave runs pin the map from each --phi name to
+its exponent and so to c_phi, through their kind and constant columns.
+The modified kind's seed-0 row ties at a worst margin of 0.0,
 so it cannot see a changed heat-ball integral; at --seed 3 the worst
 margins are live (4.81 at m = 3 and 2.73 at m = 5).
 
@@ -62,6 +65,12 @@ COMMANDS = {
                          "--samples", "1000", "--seed", "2"],
     "mvi-concave-blocks": ["mvi-check", "--kind", "concave", "--trials", "300",
                            "--samples", "1000", "--seed", "2"],
+    "mvi-concave-identity": ["mvi-check", "--kind", "concave", "--phi",
+                             "identity", "--trials", "300", "--samples",
+                             "1000", "--seed", "2"],
+    "mvi-concave-t075": ["mvi-check", "--kind", "concave", "--phi", "t075",
+                         "--trials", "300", "--samples", "1000", "--seed",
+                         "2"],
     "mvi-modified": ["mvi-check", "--kind", "modified", "--budget", BUDGET],
     "mvi-modified-m3": ["mvi-check", "--kind", "modified", "--seed", "3",
                         "--m", "3"],
