@@ -283,3 +283,98 @@ def test_laplacian_operator_image_is_bit_identical_to_trace():
         pts = RNG.uniform(0, 1, (200, u.dim))
         want = np.trace(u.hess_fn(pts), axis1=1, axis2=2)
         assert np.array_equal(laplacian_operator(u.dim).apply(u, pts), want)
+
+
+def _polynomial_families():
+    """(label, field) for every family built on polynomial_field, at every
+    dimension the package uses: d = 1 through monomial_field, 2-4 else."""
+    from fractions import Fraction
+    from lpbounds.counterexamples import build_comb, ccw_target
+
+    out = [(f"caloric-{k}-d{d}", heat_polynomial_field(k, dim=d))
+           for d in (2, 3, 4) for k in range(5)]
+    out += [(f"x^{k}", monomial_field(k)) for k in range(9)]
+    out += [(f"neg-time-n{n}", neg_time_field(n)) for n in (1, 2, 3)]
+    for n in (1, 2, 3):
+        for seed in (0, 1, 2):
+            out.append((f"heat-one-{seed}-n{n}", random_heat_one(seed, n=n)))
+            out.append((f"caloric-{seed}-n{n}", random_caloric(seed, n=n)))
+    out.append(("t^2/2", ccw_target(build_comb(Fraction(1, 8))).v))
+    return out
+
+
+def _pinned_points(d):
+    """4,096 seeded points in [-1.5, 1.5]^d; the first rows hold signed zeros
+    and units, in each column and mixed, so the digest pins zero signs."""
+    pts = np.random.default_rng(1_000 + d).uniform(-1.5, 1.5, (4096, d))
+    pts[:8] = np.array([0.0, -0.0, 1.0, -1.0] * 2)[:, None]
+    pts[4:8] *= (-1.0) ** np.arange(d)
+    return pts
+
+
+# First 16 hex digits of the SHA-256 of fn, grad_fn and hess_fn output bytes
+# on _pinned_points.  The last bits of pts ** e come from NumPy's pow loops,
+# so these digests belong to one NumPy build and CPU (NumPy 2.4, AVX-512).
+_POLYNOMIAL_DIGESTS = {
+    "caloric-0-d2": "d6fb83dbe031c9dc",
+    "caloric-1-d2": "a05aa72a4b1e101a",
+    "caloric-2-d2": "778efa843def9692",
+    "caloric-3-d2": "67c4301b90d16e53",
+    "caloric-4-d2": "0a3a8ce836108117",
+    "caloric-0-d3": "bfd61a44c0609e2d",
+    "caloric-1-d3": "a1bc995949ebac5f",
+    "caloric-2-d3": "db0490407fec8057",
+    "caloric-3-d3": "0ba266d4ff9cc9d6",
+    "caloric-4-d3": "21cc075df1bdab4f",
+    "caloric-0-d4": "20733bf3c56179e6",
+    "caloric-1-d4": "b9bb9b741d33ec04",
+    "caloric-2-d4": "3a06580f727d0240",
+    "caloric-3-d4": "da7ed65214d326fb",
+    "caloric-4-d4": "e14d496684b4a38b",
+    "x^0": "fc562d66da9d608d",
+    "x^1": "1981d5266f501792",
+    "x^2": "cbf60d31cfd16573",
+    "x^3": "7eedc67a3ffcdda6",
+    "x^4": "784445f49db01f7a",
+    "x^5": "610cef24cac2d88a",
+    "x^6": "b78013b29bf1f12b",
+    "x^7": "52fab8b65c1c53e0",
+    "x^8": "675d7152914beb39",
+    "neg-time-n1": "9ee543239203bef8",
+    "neg-time-n2": "2d8c6e6c2d6bcbca",
+    "neg-time-n3": "3c68569e791049ff",
+    "heat-one-0-n1": "6873a30c6e490301",
+    "caloric-0-n1": "1cb0273884efd448",
+    "heat-one-1-n1": "a85ae28117d0caf0",
+    "caloric-1-n1": "67bab36c37892be9",
+    "heat-one-2-n1": "2d3e10684006038d",
+    "caloric-2-n1": "7465e74362371c8d",
+    "heat-one-0-n2": "018c90901bef3243",
+    "caloric-0-n2": "4decd3049f39f683",
+    "heat-one-1-n2": "b35af7e989038905",
+    "caloric-1-n2": "7f6f5f1241b33a77",
+    "heat-one-2-n2": "5999784df5a2d643",
+    "caloric-2-n2": "a65a56155e32eadc",
+    "heat-one-0-n3": "6eafa968b2e79160",
+    "caloric-0-n3": "ca3c4d89f15ff838",
+    "heat-one-1-n3": "08876c93294e23c2",
+    "caloric-1-n3": "141d5dfc09308225",
+    "heat-one-2-n3": "4529e6b2fafe7271",
+    "caloric-2-n3": "486c8dc1237a71a5",
+    "t^2/2": "863e9a1985d7f8d5",
+}
+
+
+def _field_digest(f):
+    import hashlib
+
+    pts = _pinned_points(f.dim)
+    h = hashlib.sha256()
+    for out in (f.fn(pts), f.grad_fn(pts), f.hess_fn(pts)):
+        h.update(np.ascontiguousarray(out, dtype=np.float64).tobytes())
+    return h.hexdigest()[:16]
+
+
+def test_polynomial_field_bits_pinned():
+    got = {label: _field_digest(f) for label, f in _polynomial_families()}
+    assert got == _POLYNOMIAL_DIGESTS

@@ -248,6 +248,27 @@ def test_target_bound_fails_on_nan_target(monkeypatch):
     assert not c.passed and type(c.margin) is float
 
 
+def test_hessian_family_fails_on_nan_sup_row(monkeypatch):
+    # a NaN anywhere on the sup grid must reach sup_grid and fail the checks
+    # built on it, however that grid is scanned
+    real = counterexamples.ccw_hessian_field
+    x_nan = np.linspace(0.0, 1.0, 128)[77]
+
+    def nan_row(N):
+        u = real(N)
+        fn = u.fn
+        return dataclasses.replace(u, fn=lambda pts: np.where(
+            pts[:, 0] == x_nan, np.nan, fn(pts)))
+
+    monkeypatch.setattr(counterexamples, "ccw_hessian_field", nan_row)
+    assert math.isnan(counterexamples.hessian_family_check(1000, 0.1)["sup_grid"])
+    res = run_suite("counterexamples", {"budget": 2000, "trials": 20,
+                                        "samples": 64})
+    passed = {c.statement: c.passed for c in res.checks}
+    assert not passed["ce/hessian-family[N=1000]"]
+    assert not passed["ce/hessian-family-sup-decade"]
+
+
 def test_golden_max_check_fails_on_nan_value(monkeypatch):
     monkeypatch.setattr(verify, "golden_max",
                         lambda *args, **kwargs: (1.0, math.nan))
