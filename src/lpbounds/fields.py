@@ -9,6 +9,7 @@ Spacetime fields order coordinates (x_1, .., x_n, t), time last.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
@@ -87,55 +88,57 @@ def field_sum(fields: Sequence[ScalarField], coeffs: Sequence[float] | None = No
 
 def polynomial_field(coeffs: dict[tuple[int, ...], float], dim: int | None = None,
                      domain: Box | None = None, name: str = "poly") -> ScalarField:
-    """Multivariate polynomial sum_alpha c_alpha x^alpha with exact derivatives."""
+    """Multivariate polynomial sum_alpha c_alpha x^alpha with exact derivatives.
+
+    Each fn, grad_fn or hess_fn call computes every power k >= 2 it reads once,
+    as pts ** e_k (e_k is k in the columns read at k, else 0), and multiplies
+    a term's columns left to right, bit-equal to np.prod(pts ** e, axis=1).
+    """
     if not coeffs:
         raise ValueError("empty coefficient table")
-    terms = [(np.asarray(a, dtype=int), float(c)) for a, c in coeffs.items()]
+    terms = [(tuple(a), float(c)) for a, c in coeffs.items()]
     d = len(terms[0][0]) if dim is None else dim
     if any(len(a) != d for a, _ in terms):
         raise ValueError("inconsistent multi-index lengths")
+    if not all(isinstance(v, (int, np.integer)) and v >= 0
+               for a, _ in terms for v in a):
+        raise ValueError("exponents must be nonnegative integers")
 
-    def _eval(pts, shift):
-        # shift lowers some exponents; terms where that underflows vanish
-        out = np.zeros(len(pts))
-        for a, c in terms:
-            e = a - shift
-            if np.any(e < 0):
-                continue
-            coef = c
-            for i, (ai, si) in enumerate(zip(a, shift)):
-                for k in range(si):
-                    coef *= ai - k
-            if coef == 0.0:
-                continue
-            out += coef * np.prod(pts**e, axis=1)
-        return out
+    def _derivative(order):
+        # per slot i <= j <= ..: (coef, [(column, exponent >= 1)]) of each
+        # term that the slot's derivative leaves nonzero, in term order
+        slots = list(itertools.combinations_with_replacement(range(d), order))
+        plans = []
+        for ix in slots:
+            plan = []
+            for a, c in terms:
+                e = [ai - ix.count(i) for i, ai in enumerate(a)]
+                coef = math.prod([ai - k for ai, ei in zip(a, e)
+                                  for k in range(ai - ei)], start=c)
+                if min(e) >= 0 and coef != 0.0:
+                    plan.append((coef, [(i, ei) for i, ei in enumerate(e) if ei]))
+            plans.append(plan)
+        read = {f for plan in plans for _, cols in plan for f in cols}
+        exps = {k: np.array([k if (i, k) in read else 0 for i in range(d)])
+                for k in {k for _, k in read} - {1}}
 
-    zero = np.zeros(d, dtype=int)
+        def call(pts):
+            pw = {k: pts**e for k, e in exps.items()}
+            res = np.empty((len(pts),) + (d,) * order)
+            for ix, plan in zip(slots, plans):
+                out = np.zeros(len(pts))
+                for coef, cols in plan:
+                    if cols:
+                        xs = [pts[:, i] if k == 1 else pw[k][:, i] for i, k in cols]
+                        coef = coef * math.prod(xs[1:], start=xs[0])
+                    out += coef
+                for s in {ix, ix[::-1]}:
+                    res[(...,) + s] = out
+            return res
+        return call
 
-    def fn(pts):
-        return _eval(pts, zero)
-
-    def grad_fn(pts):
-        g = np.empty((len(pts), d))
-        for i in range(d):
-            s = zero.copy()
-            s[i] = 1
-            g[:, i] = _eval(pts, s)
-        return g
-
-    def hess_fn(pts):
-        h = np.empty((len(pts), d, d))
-        for i in range(d):
-            for j in range(i, d):
-                s = zero.copy()
-                s[i] += 1
-                s[j] += 1
-                h[:, i, j] = _eval(pts, s)
-                h[:, j, i] = h[:, i, j]
-        return h
-
-    return ScalarField(d, fn, grad_fn, hess_fn, domain=domain, name=name)
+    return ScalarField(d, _derivative(0), _derivative(1), _derivative(2),
+                       domain=domain, name=name)
 
 
 def quadratic_field(dim: int, center: Sequence[float] | None = None,
@@ -535,13 +538,11 @@ class LinearOperator:
                 out += a * vals
             elif k == 1:
                 out += a * g[:, b.index(1)]
+            elif 2 in b:
+                out += a * h[:, b.index(2), b.index(2)]
             else:
-                if 2 in b:
-                    i = j = b.index(2)
-                else:
-                    i = b.index(1)
-                    j = b.index(1, i + 1)
-                out += a * h[:, i, j]
+                i = b.index(1)
+                out += a * h[:, i, b.index(1, i + 1)]
         return out
 
 
@@ -579,7 +580,6 @@ def neg_hessian_det(f: ScalarField, p) -> np.ndarray:
 
 def positive_part(f: ScalarField) -> ScalarField:
     """max(f, 0); values only (the positive part is not C^2)."""
-    g = ScalarField(f.dim, lambda pts: np.maximum(f.fn(pts), 0.0),
-                    domain=f.domain, name=f"({f.name})_+",
-                    params=dict(f.params))
-    return g
+    return ScalarField(f.dim, lambda pts: np.maximum(f.fn(pts), 0.0),
+                       domain=f.domain, name=f"({f.name})_+",
+                       params=dict(f.params))

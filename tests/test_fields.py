@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lpbounds import counterexamples, fields
 from lpbounds.geometry import Box
 from lpbounds.fields import (
     ScalarField,
@@ -378,3 +379,87 @@ def _field_digest(f):
 def test_polynomial_field_bits_pinned():
     got = {label: _field_digest(f) for label, f in _polynomial_families()}
     assert got == _POLYNOMIAL_DIGESTS
+
+
+def _reference_polynomial_field(coeffs, dim=None, domain=None, name="poly"):
+    """polynomial_field before power tables: every term of every entry
+    raises all d columns, np.prod(pts ** e, axis=1)."""
+    terms = [(np.asarray(a, dtype=int), float(c)) for a, c in coeffs.items()]
+    d = len(terms[0][0]) if dim is None else dim
+
+    def _eval(pts, shift):
+        out = np.zeros(len(pts))
+        for a, c in terms:
+            e = a - shift
+            if np.any(e < 0):
+                continue
+            coef = c
+            for ai, si in zip(a, shift):
+                for k in range(si):
+                    coef *= ai - k
+            if coef == 0.0:
+                continue
+            out += coef * np.prod(pts**e, axis=1)
+        return out
+
+    unit = np.eye(d, dtype=int)
+
+    def grad_fn(pts):
+        return np.stack([_eval(pts, unit[i]) for i in range(d)], axis=1)
+
+    def hess_fn(pts):
+        h = np.empty((len(pts), d, d))
+        for i in range(d):
+            for j in range(i, d):
+                h[:, i, j] = h[:, j, i] = _eval(pts, unit[i] + unit[j])
+        return h
+
+    return ScalarField(d, lambda pts: _eval(pts, 0 * unit[0]), grad_fn,
+                       hess_fn, domain=domain, name=name)
+
+
+def _special_points(d, n=2048):
+    """Seeded points over zeros of both signs, units, infinities, NaN and
+    values whose powers overflow or underflow."""
+    vals = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 0.7,
+                     -1.3, 1e-200, -1e200, 5e-324])
+    return np.random.default_rng(d).choice(vals, size=(n, d))
+
+
+def _assert_same_bits(new, ref, pts, label):
+    with np.errstate(all="ignore"):
+        for attr in ("fn", "grad_fn", "hess_fn"):
+            a, b = getattr(new, attr)(pts), getattr(ref, attr)(pts)
+            assert a.shape == b.shape and a.dtype == b.dtype, (label, attr)
+            assert np.array_equal(a, b, equal_nan=True), (label, attr)
+            assert a.tobytes() == b.tobytes(), (label, attr)
+
+
+def test_polynomial_field_matches_reference_path(monkeypatch):
+    # every family in use, d = 1 to 4: the same bytes as the per-term path
+    new = _polynomial_families()
+    monkeypatch.setattr(fields, "polynomial_field", _reference_polynomial_field)
+    monkeypatch.setattr(counterexamples, "polynomial_field",
+                        _reference_polynomial_field)
+    for (label, f), (_, ref) in zip(new, _polynomial_families()):
+        _assert_same_bits(f, ref, _pinned_points(f.dim), label)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_polynomial_field_matches_reference_on_special_values(d):
+    rng = np.random.default_rng(10 + d)
+    for trial in range(20):
+        coeffs = {tuple(int(v) for v in rng.integers(0, 6, d)):
+                  float(rng.choice([0.0, -0.0, 1.0, -2.5, rng.normal()]))
+                  for _ in range(int(rng.integers(1, 7)))}
+        f = polynomial_field(coeffs, dim=d)
+        ref = _reference_polynomial_field(coeffs, dim=d)
+        for pts in (_special_points(d), _pinned_points(d)):
+            _assert_same_bits(f, ref, pts, coeffs)
+
+
+@pytest.mark.parametrize("alpha", [(-1,), (1.5,), (2, -1), (1, 0.5)])
+def test_polynomial_field_rejects_bad_exponents(alpha):
+    # a negative exponent used to vanish as "underflowed" and 1.5 became 1
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        polynomial_field({alpha: 1.0}, dim=len(alpha))
