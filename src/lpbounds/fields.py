@@ -105,11 +105,10 @@ def polynomial_field(coeffs: dict[tuple[int, ...], float], dim: int | None = Non
         raise ValueError("exponents must be nonnegative integers")
 
     def _derivative(order):
-        # per slot i <= j <= ..: (coef, [(column, exponent >= 1)]) of each
-        # term that the slot's derivative leaves nonzero, in term order
-        slots = list(itertools.combinations_with_replacement(range(d), order))
+        # per slot i <= j: (coef, [(column, exponent >= 1)]) of each term
+        # that the slot's derivative leaves nonzero, in term order
         plans = []
-        for ix in slots:
+        for ix in itertools.combinations_with_replacement(range(d), order):
             plan = []
             for a, c in terms:
                 e = [ai - ix.count(i) for i, ai in enumerate(a)]
@@ -117,21 +116,23 @@ def polynomial_field(coeffs: dict[tuple[int, ...], float], dim: int | None = Non
                                   for k in range(ai - ei)], start=c)
                 if min(e) >= 0 and coef != 0.0:
                     plan.append((coef, [(i, ei) for i, ei in enumerate(e) if ei]))
-            plans.append(plan)
-        read = {f for plan in plans for _, cols in plan for f in cols}
+            plans.append((ix, plan))
+        read = {f for _, plan in plans for _, cols in plan for f in cols}
         exps = {k: np.array([k if (i, k) in read else 0 for i in range(d)])
                 for k in {k for _, k in read} - {1}}
 
         def call(pts):
             pw = {k: pts**e for k, e in exps.items()}
             res = np.empty((len(pts),) + (d,) * order)
-            for ix, plan in zip(slots, plans):
+            for ix, plan in plans:
                 out = np.zeros(len(pts))
                 for coef, cols in plan:
                     if cols:
                         xs = [pts[:, i] if k == 1 else pw[k][:, i] for i, k in cols]
                         coef = coef * math.prod(xs[1:], start=xs[0])
                     out += coef
+                if not order:
+                    return out
                 for s in {ix, ix[::-1]}:
                     res[(...,) + s] = out
             return res
@@ -413,9 +414,7 @@ def random_laplace_one(seed: int, domain: Box | None = None) -> ScalarField:
         pairs.append((k, g))
     harm = harmonic_polynomial_field(pairs, center=tuple(c), scale=scale,
                                      domain=domain)
-    f = field_sum([quad, harm], name=f"laplace-one-{seed}")
-    f.domain = domain
-    return f
+    return field_sum([quad, harm], name=f"laplace-one-{seed}")
 
 
 def random_heat_one(seed: int, n: int = 1, domain: Box | None = None) -> ScalarField:
@@ -437,9 +436,7 @@ def random_heat_one(seed: int, n: int = 1, domain: Box | None = None) -> ScalarF
             parts.append(heat_polynomial_field(k, axis=axis, dim=n + 1,
                                                domain=domain))
             coeffs.append(rng.normal(0, 0.3 / math.factorial(k)))
-    f = field_sum(parts, coeffs, name=f"heat-one-{seed}")
-    f.domain = domain
-    return f
+    return field_sum(parts, coeffs, name=f"heat-one-{seed}")
 
 
 def random_harmonic(seed: int, domain: Box | None = None) -> ScalarField:
@@ -478,9 +475,7 @@ def random_caloric(seed: int, n: int = 1,
             parts.append(heat_polynomial_field(k, axis=axis, dim=n + 1,
                                                domain=domain))
             coeffs.append(rng.normal(0, 0.2 / math.factorial(k)))
-    f = field_sum(parts, coeffs, name=f"caloric-{seed}")
-    f.domain = domain
-    return f
+    return field_sum(parts, coeffs, name=f"caloric-{seed}")
 
 
 @dataclass(frozen=True)

@@ -443,6 +443,17 @@ def test_polynomial_field_matches_reference_path(monkeypatch):
                         _reference_polynomial_field)
     for (label, f), (_, ref) in zip(new, _polynomial_families()):
         _assert_same_bits(f, ref, _pinned_points(f.dim), label)
+    # tables the CLI and the suites build directly: deriv-check's quartics,
+    # the constant fields, l1-linear's fields and the pmeans line
+    tables = [{(4,) + (0,) * (n - 1): 1.0} for n in (1, 2, 3)]
+    tables += [{(0,) * d: 1.0} for d in (1, 2, 3, 4)]
+    tables += [{(1, 1): 1.0}, {(1, 1): 1.0, (2, 2): 0.25},
+               {(1, 1): 1.0, (3, 1): 1.0 / 6.0}, {(1,): 1.0, (0,): 0.5}]
+    for coeffs in tables:
+        d = len(next(iter(coeffs)))
+        _assert_same_bits(polynomial_field(coeffs, dim=d),
+                          _reference_polynomial_field(coeffs, dim=d),
+                          _pinned_points(d), coeffs)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
