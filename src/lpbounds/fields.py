@@ -27,7 +27,6 @@ __all__ = [
     "ccw_hessian_field",
     "bump_function",
     "heat_kernel_field",
-    "heat_polynomial_field",
     "monomial_field",
     "neg_time_field",
     "random_laplace_one",
@@ -142,6 +141,25 @@ def polynomial_field(coeffs: dict[tuple[int, ...], float], dim: int | None = Non
                        domain=domain, name=name)
 
 
+def _add_terms(table: dict, terms: dict, coeff: float) -> None:
+    """Add coeff * terms into the coefficient table, in insertion order; a
+    multi-index already present sums its coefficients in call order."""
+    for a, c in terms.items():
+        table[a] = table.get(a, 0.0) + coeff * c
+
+
+def _quadratic_terms(center, coeff: float, nsp: int) -> dict:
+    """Table of coeff * sum_{i < nsp} (x_i^2 - 2 a_i x_i + a_i^2)."""
+    d = len(center)
+    table = {}
+    for i in range(nsp):
+        a = float(center[i])
+        x = tuple(int(j == i) for j in range(d))
+        _add_terms(table, {tuple(2 * v for v in x): 1.0, x: -2.0 * a,
+                           (0,) * d: a * a}, coeff)
+    return table
+
+
 def quadratic_field(dim: int, center: Sequence[float] | None = None,
                     coeff: float | None = None, spatial: bool = False,
                     domain: Box | None = None) -> ScalarField:
@@ -155,24 +173,8 @@ def quadratic_field(dim: int, center: Sequence[float] | None = None,
     if coeff is None:
         coeff = 1.0 / (2.0 * nsp)
     a = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
-    mask = np.ones(dim)
-    if spatial:
-        mask[-1] = 0.0
-
-    def fn(pts):
-        return coeff * np.sum(mask * (pts - a) ** 2, axis=1)
-
-    def grad_fn(pts):
-        return 2.0 * coeff * mask * (pts - a)
-
-    def hess_fn(pts):
-        h = np.zeros((len(pts), dim, dim))
-        idx = np.arange(dim)
-        h[:, idx, idx] = 2.0 * coeff * mask
-        return h
-
-    return ScalarField(dim, fn, grad_fn, hess_fn, domain=domain, name="quadratic",
-                       params={"coeff": coeff, "center": tuple(a), "spatial": spatial})
+    return polynomial_field(_quadratic_terms(a, coeff, nsp), dim=dim,
+                            domain=domain, name="quadratic")
 
 
 def harmonic_polynomial_field(pairs: Sequence[tuple[int, complex]],
@@ -225,9 +227,7 @@ def harmonic_polynomial_field(pairs: Sequence[tuple[int, complex]],
         h[:, 1, 1] = -d2.real
         return h
 
-    return ScalarField(2, fn, grad_fn, hess_fn, domain=domain, name=name,
-                       params={"pairs": list(zip(ks, gs)), "center": (cx, cy),
-                               "scale": s})
+    return ScalarField(2, fn, grad_fn, hess_fn, domain=domain, name=name)
 
 
 def ccw_hessian_field(N: float) -> ScalarField:
@@ -260,7 +260,7 @@ def ccw_hessian_field(N: float) -> ScalarField:
 
     return ScalarField(2, fn, grad_fn, hess_fn,
                        domain=Box((0.0, 0.0), (1.0, 1.0)),
-                       name=f"ccw-hessian-{N:g}", params={"N": N})
+                       name=f"ccw-hessian-{N:g}")
 
 
 def bump_function(center: Sequence[float], radius: float) -> ScalarField:
@@ -351,7 +351,7 @@ def heat_kernel_field(n: int, source: Sequence[float],
         return np.where(ok[:, None, None], h, 0.0)
 
     return ScalarField(n + 1, fn, grad_fn, hess_fn, domain=domain,
-                       name="heat-kernel", params={"source": src})
+                       name="heat-kernel")
 
 
 _HEAT_POLYS = {
@@ -363,24 +363,19 @@ _HEAT_POLYS = {
 }
 
 
-def heat_polynomial_field(k: int, axis: int = 0, dim: int = 2,
-                          domain: Box | None = None) -> ScalarField:
-    """Caloric polynomial v_k in one spatial coordinate and time.
+def _heat_terms(k: int, axis: int, dim: int) -> dict:
+    """Coefficient table of the caloric polynomial v_k in x_axis and time.
 
     v_0..v_4 with (d/dx)^2 v = dv/dt; embedded in dim coordinates with time
     last, so Hv = 0 in any spatial dimension.
     """
-    if k not in _HEAT_POLYS:
-        raise ValueError(f"caloric polynomial degree {k} not tabulated")
-    if not 0 <= axis < dim - 1:
-        raise ValueError("axis must be a spatial coordinate")
-    coeffs = {}
+    table = {}
     for (i, j), c in _HEAT_POLYS[k].items():
         alpha = [0] * dim
         alpha[axis] = i
         alpha[-1] = j
-        coeffs[tuple(alpha)] = c
-    return polynomial_field(coeffs, dim=dim, domain=domain, name=f"caloric-{k}")
+        table[tuple(alpha)] = c
+    return table
 
 
 def monomial_field(k: int) -> ScalarField:
@@ -428,15 +423,13 @@ def random_heat_one(seed: int, n: int = 1, domain: Box | None = None) -> ScalarF
     c = np.asarray(domain.center)
     hw = domain.halfwidths()
     a = c + rng.uniform(-0.5, 0.5, size=n + 1) * hw
-    quad = quadratic_field(n + 1, center=a, spatial=True, domain=domain)
-    parts = [quad]
-    coeffs = [1.0]
+    table = _quadratic_terms(a, 1.0 / (2.0 * n), n)
     for axis in range(n):
         for k in range(1, 5):
-            parts.append(heat_polynomial_field(k, axis=axis, dim=n + 1,
-                                               domain=domain))
-            coeffs.append(rng.normal(0, 0.3 / math.factorial(k)))
-    return field_sum(parts, coeffs, name=f"heat-one-{seed}")
+            _add_terms(table, _heat_terms(k, axis, n + 1),
+                       rng.normal(0, 0.3 / math.factorial(k)))
+    return polynomial_field(table, dim=n + 1, domain=domain,
+                            name=f"heat-one-{seed}")
 
 
 def random_harmonic(seed: int, domain: Box | None = None) -> ScalarField:
@@ -463,8 +456,9 @@ def random_caloric(seed: int, n: int = 1,
         domain = Box((0.0,) * n + (0.0,), (1.0,) * n + (1.0,))
     lo = np.asarray(domain.lo)
     hi = np.asarray(domain.hi)
-    parts = [polynomial_field({(0,) * (n + 1): 1.0}, dim=n + 1, domain=domain)]
-    coeffs = [rng.normal(0, 0.3)]
+    table = {(0,) * (n + 1): rng.normal(0, 0.3)}
+    parts = []
+    coeffs = [1.0]
     for _ in range(3):
         x0 = rng.uniform(lo[:n] - 0.5, hi[:n] + 0.5)
         t0 = lo[-1] - rng.uniform(0.2, 0.8)
@@ -472,10 +466,10 @@ def random_caloric(seed: int, n: int = 1,
         coeffs.append(rng.normal(0, 0.5))
     for axis in range(n):
         for k in range(1, 4):
-            parts.append(heat_polynomial_field(k, axis=axis, dim=n + 1,
-                                               domain=domain))
-            coeffs.append(rng.normal(0, 0.2 / math.factorial(k)))
-    return field_sum(parts, coeffs, name=f"caloric-{seed}")
+            _add_terms(table, _heat_terms(k, axis, n + 1),
+                       rng.normal(0, 0.2 / math.factorial(k)))
+    poly = polynomial_field(table, dim=n + 1, domain=domain)
+    return field_sum([poly, *parts], coeffs, name=f"caloric-{seed}")
 
 
 @dataclass(frozen=True)
@@ -576,5 +570,4 @@ def neg_hessian_det(f: ScalarField, p) -> np.ndarray:
 def positive_part(f: ScalarField) -> ScalarField:
     """max(f, 0); values only (the positive part is not C^2)."""
     return ScalarField(f.dim, lambda pts: np.maximum(f.fn(pts), 0.0),
-                       domain=f.domain, name=f"({f.name})_+",
-                       params=dict(f.params))
+                       domain=f.domain, name=f"({f.name})_+")

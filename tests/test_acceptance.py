@@ -19,7 +19,7 @@ from lpbounds.constants import (assemble_cp_heat, assemble_cp_laplace,
                                 sublevel_to_pmean_bound)
 from lpbounds.counterexamples import (assemble_ccw_witness, build_comb,
                                       hessian_family_check)
-from lpbounds.fields import (heat_polynomial_field, monomial_field,
+from lpbounds.fields import (_heat_terms, monomial_field,
                              polynomial_field, quadratic_field,
                              random_harmonic, random_heat_one,
                              random_laplace_one)
@@ -86,7 +86,7 @@ def test_criterion_02_heatball_average_derivative():
     for n in (1, 2, 3):
         rows = [(random_heat_one(3 * n, n=n), False),
                 (random_heat_one(3 * n + 1, n=n), False),
-                (heat_polynomial_field(3, axis=0, dim=n + 1), True)]
+                (polynomial_field(_heat_terms(3, 0, n + 1)), True)]
         # heatballs at r = 0.7 reach ~0.3 spatially and ~0.04 into the past,
         # so this center keeps them inside the unit spacetime box
         center = np.array([0.5] * n + [0.95])

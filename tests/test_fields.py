@@ -15,7 +15,6 @@ from lpbounds.fields import (
     ccw_hessian_field,
     bump_function,
     heat_kernel_field,
-    heat_polynomial_field,
     monomial_field,
     neg_time_field,
     random_laplace_one,
@@ -122,7 +121,7 @@ def test_harmonic_polynomial_exactly_harmonic():
 
 def test_heat_polynomials_caloric():
     for k in range(5):
-        v = heat_polynomial_field(k, axis=0, dim=2)
+        v = polynomial_field(fields._heat_terms(k, 0, 2))
         pts = RNG.uniform(-1, 1, (30, 2))
         assert np.max(np.abs(_heat(v, pts))) <= 1e-10
 
@@ -292,8 +291,13 @@ def _polynomial_families():
     from fractions import Fraction
     from lpbounds.counterexamples import build_comb, ccw_target
 
-    out = [(f"caloric-{k}-d{d}", heat_polynomial_field(k, dim=d))
+    out = [(f"caloric-{k}-d{d}", polynomial_field(fields._heat_terms(k, 0, d)))
            for d in (2, 3, 4) for k in range(5)]
+    out += [(f"quadratic-d{d}", quadratic_field(d)) for d in (1, 2, 3, 4)]
+    out += [(f"quadratic-spatial-d{d}", quadratic_field(d, spatial=True))
+            for d in (2, 3, 4)]
+    out.append(("quadratic-centred", quadratic_field(
+        2, center=(0.5, 0.0), coeff=0.5, spatial=True)))
     out += [(f"x^{k}", monomial_field(k)) for k in range(9)]
     out += [(f"neg-time-n{n}", neg_time_field(n)) for n in (1, 2, 3)]
     for n in (1, 2, 3):
@@ -332,6 +336,14 @@ _POLYNOMIAL_DIGESTS = {
     "caloric-2-d4": "3a06580f727d0240",
     "caloric-3-d4": "da7ed65214d326fb",
     "caloric-4-d4": "e14d496684b4a38b",
+    "quadratic-d1": "734266db92441e42",
+    "quadratic-d2": "ffabc5f4d03216fe",
+    "quadratic-d3": "9c2573960301df70",
+    "quadratic-d4": "87c20382e92bc854",
+    "quadratic-spatial-d2": "86eaeec607a34ef7",
+    "quadratic-spatial-d3": "314c6e0fdf3d6ede",
+    "quadratic-spatial-d4": "ed2f37fd6bba9023",
+    "quadratic-centred": "59dc71a431751c19",
     "x^0": "fc562d66da9d608d",
     "x^1": "1981d5266f501792",
     "x^2": "cbf60d31cfd16573",
@@ -344,24 +356,24 @@ _POLYNOMIAL_DIGESTS = {
     "neg-time-n1": "9ee543239203bef8",
     "neg-time-n2": "2d8c6e6c2d6bcbca",
     "neg-time-n3": "3c68569e791049ff",
-    "heat-one-0-n1": "6873a30c6e490301",
-    "caloric-0-n1": "1cb0273884efd448",
-    "heat-one-1-n1": "a85ae28117d0caf0",
-    "caloric-1-n1": "67bab36c37892be9",
-    "heat-one-2-n1": "2d3e10684006038d",
-    "caloric-2-n1": "7465e74362371c8d",
-    "heat-one-0-n2": "018c90901bef3243",
-    "caloric-0-n2": "4decd3049f39f683",
-    "heat-one-1-n2": "b35af7e989038905",
-    "caloric-1-n2": "7f6f5f1241b33a77",
-    "heat-one-2-n2": "5999784df5a2d643",
-    "caloric-2-n2": "a65a56155e32eadc",
-    "heat-one-0-n3": "6eafa968b2e79160",
-    "caloric-0-n3": "ca3c4d89f15ff838",
-    "heat-one-1-n3": "08876c93294e23c2",
-    "caloric-1-n3": "141d5dfc09308225",
-    "heat-one-2-n3": "4529e6b2fafe7271",
-    "caloric-2-n3": "486c8dc1237a71a5",
+    "heat-one-0-n1": "00b6eaaef5937646",
+    "caloric-0-n1": "e8654f35de0b9e89",
+    "heat-one-1-n1": "e77c8e471010e4ea",
+    "caloric-1-n1": "2574c506e5f5fbb0",
+    "heat-one-2-n1": "6eab157058ee3a31",
+    "caloric-2-n1": "e66551cf3320b805",
+    "heat-one-0-n2": "974bafc0071b4741",
+    "caloric-0-n2": "d4e626e64af48fd1",
+    "heat-one-1-n2": "6b81c700d890cc54",
+    "caloric-1-n2": "767f004b427d8cbd",
+    "heat-one-2-n2": "445e23197641d213",
+    "caloric-2-n2": "3f943f8f673bea7c",
+    "heat-one-0-n3": "adec08b18ffa77f3",
+    "caloric-0-n3": "0ca0ae7200e658d1",
+    "heat-one-1-n3": "8f198b66eee2d016",
+    "caloric-1-n3": "6b4b6003f008a664",
+    "heat-one-2-n3": "f9315d78a8ada23a",
+    "caloric-2-n3": "35aec750204c6380",
     "t^2/2": "863e9a1985d7f8d5",
 }
 
@@ -379,6 +391,77 @@ def _field_digest(f):
 def test_polynomial_field_bits_pinned():
     got = {label: _field_digest(f) for label, f in _polynomial_families()}
     assert got == _POLYNOMIAL_DIGESTS
+
+
+def _reference_quadratic(dim, a, coeff, spatial):
+    """quadratic_field before it became a coefficient table: its own
+    hand-written derivatives of coeff |x - a|^2 over a mask."""
+    mask = np.ones(dim)
+    if spatial:
+        mask[-1] = 0.0
+
+    def fn(pts):
+        return coeff * np.sum(mask * (pts - a) ** 2, axis=1)
+
+    def grad_fn(pts):
+        return 2.0 * coeff * mask * (pts - a)
+
+    def hess_fn(pts):
+        h = np.zeros((len(pts), dim, dim))
+        idx = np.arange(dim)
+        h[:, idx, idx] = 2.0 * coeff * mask
+        return h
+
+    return ScalarField(dim, fn, grad_fn, hess_fn)
+
+
+def _reference_heat_one(seed, n):
+    """random_heat_one on its default unit box as a field_sum of the
+    quadratic and one polynomial field per caloric part, drawing the same
+    rng sequence."""
+    rng = np.random.default_rng(seed)
+    a = 0.5 + rng.uniform(-0.5, 0.5, size=n + 1) * 0.5
+    parts = [_reference_quadratic(n + 1, a, 1.0 / (2.0 * n), True)]
+    coeffs = [1.0]
+    for axis in range(n):
+        for k in range(1, 5):
+            parts.append(polynomial_field(fields._heat_terms(k, axis, n + 1)))
+            coeffs.append(rng.normal(0, 0.3 / math.factorial(k)))
+    return field_sum(parts, coeffs)
+
+
+def _reference_caloric(seed, n):
+    """random_caloric on its default unit box as a field_sum of a constant,
+    three kernels and one polynomial field per caloric part, drawing the
+    same rng sequence."""
+    rng = np.random.default_rng(seed)
+    parts = [polynomial_field({(0,) * (n + 1): 1.0})]
+    coeffs = [rng.normal(0, 0.3)]
+    for _ in range(3):
+        x0 = rng.uniform(np.full(n, -0.5), np.full(n, 1.5))
+        t0 = 0.0 - rng.uniform(0.2, 0.8)
+        parts.append(heat_kernel_field(n, tuple(x0) + (t0,)))
+        coeffs.append(rng.normal(0, 0.5))
+    for axis in range(n):
+        for k in range(1, 4):
+            parts.append(polynomial_field(fields._heat_terms(k, axis, n + 1)))
+            coeffs.append(rng.normal(0, 0.2 / math.factorial(k)))
+    return field_sum(parts, coeffs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_heat_families_match_per_part_reference(n):
+    # one coefficient table moves each array by a few ulps of its largest
+    # magnitude, no more; a reordered rng draw moves it by far more
+    pts = _pinned_points(n + 1)
+    for seed in (0, 1, 2):
+        pairs = [(random_heat_one(seed, n=n), _reference_heat_one(seed, n)),
+                 (random_caloric(seed, n=n), _reference_caloric(seed, n))]
+        for new, ref in pairs:
+            for attr in ("fn", "grad_fn", "hess_fn"):
+                a, b = getattr(new, attr)(pts), getattr(ref, attr)(pts)
+                tol = 8 * np.spacing(np.max(np.abs(b)))
+                assert np.max(np.abs(a - b)) <= tol, (new.name, attr)
 
 
 def _reference_polynomial_field(coeffs, dim=None, domain=None, name="poly"):
