@@ -43,9 +43,9 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     a_root, b_root = argv
-    names = files(a_root)
-    if names != files(b_root):
-        print(f"different files: {sorted(names ^ files(b_root))}")
+    names, other = files(a_root), files(b_root)
+    if names != other:
+        print(f"different files: {sorted(names ^ other)}")
         return 1
     worst = 0.0
     for name in sorted(names):
