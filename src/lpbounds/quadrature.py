@@ -4,7 +4,8 @@ mc_mean is the one Monte Carlo engine of the package: draws are split into
 fixed-size batches, each with its own SeedSequence substream, and batch
 statistics are merged in batch order, so results are identical for a given
 (seed, budget) regardless of thread count.  integrate and measure run it on
-uniform draws in the region's bounding box, rejected by membership.
+uniform draws in the region's bounding box, rejected by membership; a Box
+region holds every draw and skips the test.
 QuadResult.ci and agreement hold the package's one 3-standard-error rule.
 """
 
@@ -146,6 +147,14 @@ def _finite(vals):
     return vals
 
 
+def _members(region, box, pts: np.ndarray):
+    """Index of the rows of pts, drawn in box = region.bounding_box(), that
+    lie in the region.  A Box region is its own bounding box and holds every
+    draw of Box.sample: its index is slice(None), so it skips the membership
+    test and pts[index] is a view, not a copy."""
+    return slice(None) if region is box else region.contains(pts)
+
+
 def _box_rejection_mean(region, values, budget: int, seed: int,
                         threads: int) -> QuadResult:
     """Mean over the region's bounding box of |box| values(p) at members,
@@ -156,11 +165,12 @@ def _box_rejection_mean(region, values, budget: int, seed: int,
 
     def draw(rng: np.random.Generator, count: int) -> np.ndarray:
         pts = box.sample(count, rng)
-        member = region.contains(pts)
+        member = _members(region, box, pts)
+        inside = pts[member]
         vals = np.zeros(count)
-        if np.any(member):
+        if len(inside):
             hits.append(True)
-            vals[member] = _finite(values(pts[member]))
+            vals[member] = _finite(values(inside))
         return vals * boxvol
 
     res = mc_mean(draw, budget, seed, "mc-rejection", threads)
@@ -211,10 +221,10 @@ def _accepted_values(f, region, counts: list[int], seed: int) -> list[np.ndarray
         while left > 0:
             take = min(left, BATCH_SIZE)
             pts = box.sample(take, rng)
-            member = region.contains(pts)
-            if np.any(member):
+            inside = pts[_members(region, box, pts)]
+            if len(inside):
                 chunks.append(np.abs(_finite(
-                    np.asarray(fn(pts[member]), dtype=float))))
+                    np.asarray(fn(inside), dtype=float))))
             left -= take
         groups.append(np.concatenate(chunks) if chunks else np.empty(0))
     return groups

@@ -41,6 +41,80 @@ def test_box_basics():
         Box((0.0,), (0.0,))
 
 
+@pytest.mark.parametrize("lo, hi", [
+    ((0.0, 0.0), (1.0, math.nan)),  # a >= b is False for NaN
+    ((math.nan,), (1.0,)),
+    ((0.0, -math.inf), (1.0, 1.0)),
+    ((0.0,), (math.inf,)),
+    ((-1e200, -1e200), (1e200, 1e200)),  # finite bounds, measure overflows
+    ((0.0, 0.0), (1e-200, 1e-200)),  # positive widths, measure underflows
+])
+def test_box_rejects_nonfinite_bounds_and_measure(lo, hi):
+    # a NaN box used to build with measure NaN, an infinite one to fail
+    # only later, in rng.uniform
+    with pytest.raises(ValueError, match="box"):
+        Box(lo, hi)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cube_sample_bits_match_per_axis_bounds(d):
+    # a cube draws with scalar bounds; the bits must equal the per-axis draw
+    cube = Box((-0.5,) * d, (1.25,) * d)
+    got = cube.sample(1001, np.random.default_rng(7))
+    want = np.random.default_rng(7).uniform(np.full(d, -0.5), np.full(d, 1.25),
+                                            size=(1001, d))
+    assert got.tobytes() == want.tobytes()
+
+
+def _edge_batch(lo, hi, rng):
+    """Random points around [lo, hi] plus its corners, NaN rows, a row
+    that is NaN on one axis only, and the centre."""
+    lo, hi = np.asarray(lo), np.asarray(hi)
+    d = len(lo)
+    span = hi - lo
+    pts = [rng.uniform(lo - span / 2, hi + span / 2, size=(200, d)),
+           np.where(rng.random((50, d)) < 0.5, lo, hi),
+           np.full((1, d), np.nan), (lo + hi)[None, :] / 2]
+    part = (lo + hi)[None, :] / 2
+    part[0, -1] = np.nan
+    pts.append(part)
+    edge = np.where(rng.random((50, d)) < 0.5, lo, hi)
+    edge[:, 0] = np.nextafter(edge[:, 0], np.inf)
+    pts.append(edge)
+    return np.concatenate(pts)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_box_and_heatball_contains_match_whole_batch_formulas(d):
+    # membership is tested one column at a time; it must give the booleans
+    # of the (N, d) compare reduced by np.all(axis=1)
+    rng = np.random.default_rng(d)
+    box = Box(tuple(rng.uniform(-1, 0, d)), tuple(rng.uniform(0.5, 2, d)))
+    pts = _edge_batch(box.lo, box.hi, rng)
+    lo, hi = np.asarray(box.lo), np.asarray(box.hi)
+    want = np.all((pts >= lo) & (pts <= hi), axis=1)
+    assert np.array_equal(box.contains(pts), want)
+    assert want.any() and not want.all()
+    if d < 2:
+        return
+    hb = Heatball(tuple(rng.uniform(-1, 1, d)), 0.8, m=1)
+    bb = hb.bounding_box()
+    pts = np.concatenate([_edge_batch(bb.lo, bb.hi, rng),
+                          np.asarray(hb.center)[None, :]])
+    c = np.asarray(hb.center)
+    n = hb.spatial_dim
+    tau = c[-1] - pts[:, -1]
+    want = np.zeros(len(pts), dtype=bool)
+    ok = (tau > 0) & (tau <= hb.depth)
+    d2 = np.sum((pts[ok, :n] - c[:n]) ** 2, axis=1)
+    want[ok] = d2 < 2.0 * hb.kernel_dim * tau[ok] * np.log(
+        hb.radius ** 2 / (4.0 * math.pi * tau[ok]))
+    want |= np.all(pts == c, axis=1)
+    got = hb.contains(pts)
+    assert np.array_equal(got, want)
+    assert got[-1] and want[ok].any()
+
+
 @pytest.mark.parametrize("p", [(1.0, 0.5), [[[1.0, 0.5]]], [[1.0, 0.5, 0.0]]])
 def test_points_must_be_an_n_by_dim_batch(p):
     # one point is a (1, d) batch; a bare point or a wrong width raises

@@ -33,6 +33,20 @@ class _NeverHit:
         return np.zeros(len(np.atleast_2d(pts)), dtype=bool)
 
 
+class _BoxView:
+    """A non-Box region with the same membership and bounding box as box,
+    so the engine tests each draw where it would skip the test for box."""
+
+    def __init__(self, box):
+        self.box = box
+
+    def bounding_box(self):
+        return self.box
+
+    def contains(self, pts):
+        return self.box.contains(pts)
+
+
 def test_integrate_xy_quarter():
     res = integrate(XY, SQUARE, budget=200_000, seed=3)
     assert abs(res.value - 0.25) <= 3 * res.std_error
@@ -50,6 +64,23 @@ def test_integrate_deterministic_and_threaded():
         assert a == b
         c = run(budget=150_000, seed=11, threads=2)
         assert c.value == a.value and c.std_error == a.std_error
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_box_region_skips_membership_with_the_same_bits(threads):
+    # a Box holds every draw from its own bounding box, so skipping the
+    # membership test must change no bit; 150,001 is two full batches and
+    # a ragged third
+    box = Box((0.0, -1.0), (2.0, 0.5))
+    f = polynomial_field({(2, 1): 1.0, (0, 0): 0.5})
+    runs = [lambda r: integrate(f, r, budget=150_001, seed=5, threads=threads),
+            lambda r: measure(r, budget=150_001, seed=5, threads=threads),
+            lambda r: measure(r, predicate=lambda p: p[:, 0] < -p[:, 1],
+                              budget=150_001, seed=5, threads=threads),
+            lambda r: pmean_grid(f, r, [-0.5, 0.0, 0.5, 2.0],
+                                 budget=150_001, seed=5)]
+    for run in runs:
+        assert run(box) == run(_BoxView(box))
 
 
 def test_integrate_rejects_to_ball_volume():
@@ -193,6 +224,7 @@ _NAN = ScalarField(2, lambda pts: np.full(len(pts), np.nan), domain=SQUARE,
 _INF = ScalarField(2, lambda pts: np.full(len(pts), np.inf), domain=SQUARE,
                    name="all-inf")
 
+# SQUARE is a Box, so these run the engine's path that skips membership
 _NONFINITE_CALLS = {
     "integrate": lambda f: integrate(f, SQUARE, budget=1000),
     "pmean[p=-0.5]": lambda f: pmean(f, SQUARE, -0.5, budget=1000),
@@ -213,6 +245,15 @@ def test_inf_integrand_raises(name):
     # these returned inf with a NaN standard error, or a divergent 0
     with pytest.raises(ValueError, match="infinite"):
         _NONFINITE_CALLS[name](_INF)
+
+
+@pytest.mark.parametrize("field", [_NAN, _INF])
+def test_nonfinite_integrand_raises_on_tested_members(field):
+    # the same fail-closed check on the path that tests membership
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        integrate(field, _BoxView(SQUARE), budget=1000)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        pmean_grid(field, _BoxView(SQUARE), [0.5], budget=1000)
 
 
 def test_box_gauss_exact_on_polynomials():
