@@ -96,16 +96,16 @@ class Box:
         hi = tuple(float(v) for v in self.hi)
         if len(lo) != len(hi) or not lo:
             raise ValueError("lo and hi must be nonempty and of equal length")
-        if not all(math.isfinite(v) for v in lo + hi):
-            raise ValueError("box bounds must be finite")
         if any(a >= b for a, b in zip(lo, hi)):
             raise ValueError("box must satisfy lo < hi in every axis")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         with np.errstate(over="ignore", under="ignore"):
             measure = self.measure
+        # a NaN or infinite bound makes the measure NaN or infinite
         if not 0.0 < measure < math.inf:
-            raise ValueError("box measure must be finite and positive")
+            raise ValueError("box needs finite bounds and a finite, positive "
+                             "measure")
 
     @property
     def dim(self) -> int:

@@ -25,6 +25,12 @@ def test_eight_wins_of_ten_is_no_gain():
     assert (s["wins"], s["gain"]) == (8, False)
 
 
+def test_fewer_than_ten_pairs_is_no_gain():
+    change = [v - 0.5 for v in PARENT]
+    s = bench_pairs.summarize(PARENT[:9], change[:9], "lower")
+    assert (s["wins"], s["pairs"], s["gain"]) == (9, 9, False)
+
+
 def test_gap_inside_parent_spread_is_no_gain():
     # every pair won, but by less than the parent's quartile spread
     change = [v - 0.01 for v in PARENT]

@@ -13,9 +13,9 @@ is printed as it ends.
 
 For each end-to-end metric named in the parent's BENCHMARK.json the
 summary gives each side's median and quartiles, the change's wins out of N
-(ties count for neither side) and the gain rule: the change wins at least
-nine tenths of the pairs, and the medians differ, in the better direction,
-by more than the parent's interquartile range.  The summary also lists the
+(ties count for neither side) and the gain rule: at least ten pairs, the
+change wins at least nine tenths of them, and the medians differ, in the
+better direction, by more than the parent's interquartile range.  The summary also lists the
 seeds, every run that reported ``correct: false``, and every pair whose two
 runs printed different output digests.
 """
@@ -49,8 +49,9 @@ def summarize(parent, change, better: str) -> dict:
     pq = quartiles(parent)
     cq = quartiles(change)
     gap = sign * (cq[1] - pq[1])
-    return {"parent": pq, "change": cq, "wins": wins, "pairs": len(parent),
-            "gain": wins >= 0.9 * len(parent) and gap > pq[2] - pq[0]}
+    n = len(parent)
+    return {"parent": pq, "change": cq, "wins": wins, "pairs": n,
+            "gain": n >= 10 and wins >= 0.9 * n and gap > pq[2] - pq[0]}
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -65,8 +66,8 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
                            f"\n{proc.stderr.strip()}")
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1])
-    digest = next((ln.split()[1] for ln in lines
-                   if ln.strip().startswith("output_digest")), None)
+    digest = next(ln.split()[1] for ln in lines
+                  if ln.strip().startswith("output_digest"))
     return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
             "correct": result["correct"], "digest": digest}
 
@@ -88,7 +89,7 @@ def main(argv=None) -> int:
                          "parent's BENCHMARK.json)")
     args = ap.parse_args(argv)
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
              else list(range(args.pairs)))
     used = [seeds[i % len(seeds)] for i in range(args.pairs)]
@@ -102,7 +103,8 @@ def main(argv=None) -> int:
             runs[side].append(run)
             vals = " ".join(f"{k} {v:.4g}" for k, v in run["metrics"].items())
             print(f"pair {i} seed {seed} {side}: {vals} "
-                  f"correct {run['correct']}", flush=True)
+                  f"correct {run['correct']} digest {run['digest'][:8]}",
+                  flush=True)
 
     print(f"\n{args.workload}: {args.pairs} pairs, {seconds:g} s runs, "
           f"seeds {','.join(map(str, used))}; parent first on even pairs")
