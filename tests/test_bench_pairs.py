@@ -49,3 +49,51 @@ def test_ties_count_for_neither_and_direction_follows_better():
 def test_unpaired_runs_are_refused():
     with pytest.raises(ValueError):
         bench_pairs.summarize(PARENT, PARENT[:9], "lower")
+
+
+def _run(wall, failed=0, correct=True, digest="d0"):
+    return {"metrics": {"wall_s": wall}, "correct": correct,
+            "failed": failed, "digest": digest}
+
+
+def test_voids_name_each_pair_the_change_run_makes_worse():
+    parent = [_run(1.5), _run(1.5, failed=2, correct=False), _run(1.5),
+              _run(1.5)]
+    change = [_run(1.0), _run(1.0, failed=2, correct=False),
+              _run(1.0, failed=1, correct=False), _run(1.0, digest="d1")]
+    assert bench_pairs.voids(parent, change) == [
+        "pair 2: change failed 1, parent 0",
+        "pair 2: change run not correct",
+        "pair 3: digests differ: d0 vs d1",
+    ]
+    assert bench_pairs.voids(parent[:2], change[:2]) == []
+
+
+def test_gain_reads_void_when_a_change_run_fails_more(tmp_path, monkeypatch,
+                                                      capsys):
+    # a clear wall_s gain on every pair, but one change run failed an
+    # operation its parent run did not; the run length is the benchmark's
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    (parent / "BENCHMARK.json").write_text(
+        '{"run_seconds": 7, "end_to_end": '
+        '[{"name": "wall_s", "better": "lower"}]}')
+    lengths = []
+
+    def fake_run(tree, workload, seed, seconds):
+        lengths.append(seconds)
+        if tree == parent:
+            return _run(PARENT[seed])
+        return _run(PARENT[seed] - 0.5, failed=int(seed == 4),
+                    correct=seed != 4)
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    bench_pairs.main([str(parent), str(change), "--workload", "lp-thm"])
+    out = capsys.readouterr().out
+    row = next(ln for ln in out.splitlines() if ln.startswith("wall_s"))
+    assert row.split()[-2:] == ["10/10", "void"]
+    assert "VOID: pair 4: change failed 1, parent 0" in out
+    assert set(lengths) == {7}
+    with pytest.raises(SystemExit):
+        bench_pairs.main([str(parent), str(change), "--workload", "lp-thm",
+                          "--seconds", "3"])

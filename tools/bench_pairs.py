@@ -3,11 +3,12 @@
 Usage:
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W
-        [--pairs N] [--seeds 0,1,...] [--seconds S]
+        [--pairs N] [--seeds 0,1,...]
 
-Pair i runs ``bench/run.py --workload W --seed S --seconds S --trace 0``
+Pair i runs ``bench/run.py --workload W --seed S --seconds T --trace 0``
 from each checkout, the parent first when i is even and the change first
-when i is odd.  Pair i takes the i-th seed of --seeds, cycling when there
+when i is odd.  T is ``run_seconds`` in the parent's BENCHMARK.json, so
+both sides run for the length the benchmark sets.  Pair i takes the i-th seed of --seeds, cycling when there
 are fewer seeds than pairs; the default seeds are 0 to N - 1.  Every run
 is printed as it ends.
 
@@ -15,9 +16,12 @@ For each end-to-end metric named in the parent's BENCHMARK.json the
 summary gives each side's median and quartiles, the change's wins out of N
 (ties count for neither side) and the gain rule: at least ten pairs, the
 change wins at least nine tenths of them, and the medians differ, in the
-better direction, by more than the parent's interquartile range.  The summary also lists the
-seeds, every run that reported ``correct: false``, and every pair whose two
-runs printed different output digests.
+better direction, by more than the parent's interquartile range.  The
+gain reads "void" on every metric when any pair's change run failed more
+operations than its parent run, was not correct when the parent run was,
+or printed a different output digest; each such pair is listed.  The
+summary also lists the seeds and every run that reported
+``correct: false``.
 """
 
 from __future__ import annotations
@@ -54,9 +58,27 @@ def summarize(parent, change, better: str) -> dict:
             "gain": n >= 10 and wins >= 0.9 * n and gap > pq[2] - pq[0]}
 
 
+def voids(parent, change) -> list[str]:
+    """One line per pair whose change run voids a gain: it failed more
+    operations than its parent run, was not correct when the parent run
+    was, or printed a different output digest.  parent and change are
+    run_bench results, paired by index."""
+    lines = []
+    for i, (p, c) in enumerate(zip(parent, change)):
+        if c["failed"] > p["failed"]:
+            lines.append(f"pair {i}: change failed {c['failed']}, "
+                         f"parent {p['failed']}")
+        if p["correct"] and not c["correct"]:
+            lines.append(f"pair {i}: change run not correct")
+        if c["digest"] != p["digest"]:
+            lines.append(f"pair {i}: digests differ: {p['digest']} vs "
+                         f"{c['digest']}")
+    return lines
+
+
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run from the checkout at tree: its metric
-    values, correct flag and output digest."""
+    values, correct flag, failed operations and output digest."""
     proc = subprocess.run(
         [sys.executable, str(tree / "bench" / "run.py"), "--workload",
          workload, "--seed", str(seed), "--seconds", str(seconds),
@@ -69,7 +91,8 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     digest = next(ln.split()[1] for ln in lines
                   if ln.strip().startswith("output_digest"))
     return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
-            "correct": result["correct"], "digest": digest}
+            "correct": result["correct"], "failed": result["failed"],
+            "digest": digest}
 
 
 def _fmt(q) -> str:
@@ -84,12 +107,9 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seeds", default=None,
                     help="comma-separated seeds (default 0 to pairs - 1)")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length (default: run_seconds in the "
-                         "parent's BENCHMARK.json)")
     args = ap.parse_args(argv)
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    seconds = spec["run_seconds"]
     seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
              else list(range(args.pairs)))
     used = [seeds[i % len(seeds)] for i in range(args.pairs)]
@@ -103,11 +123,13 @@ def main(argv=None) -> int:
             runs[side].append(run)
             vals = " ".join(f"{k} {v:.4g}" for k, v in run["metrics"].items())
             print(f"pair {i} seed {seed} {side}: {vals} "
-                  f"correct {run['correct']} digest {run['digest'][:8]}",
+                  f"correct {run['correct']} failed {run['failed']} "
+                  f"digest {run['digest'][:8]}",
                   flush=True)
 
     print(f"\n{args.workload}: {args.pairs} pairs, {seconds:g} s runs, "
           f"seeds {','.join(map(str, used))}; parent first on even pairs")
+    void = voids(runs["parent"], runs["change"])
     print("metric  parent median [quartiles]  change median [quartiles]  "
           "change  wins  gain")
     for metric in spec["end_to_end"]:
@@ -118,15 +140,13 @@ def main(argv=None) -> int:
         rel = s["change"][1] / s["parent"][1] - 1.0 if s["parent"][1] else 0.0
         print(f"{name}  {_fmt(s['parent'])}  {_fmt(s['change'])}  "
               f"{rel:+.1%}  {s['wins']}/{s['pairs']}  "
-              f"{'yes' if s['gain'] else 'no'}")
+              f"{'void' if void else 'yes' if s['gain'] else 'no'}")
+    for line in void:
+        print(f"VOID: {line}")
     for side, side_runs in runs.items():
         for i, r in enumerate(side_runs):
             if not r["correct"]:
                 print(f"NOT CORRECT: {side} run of pair {i} (seed {used[i]})")
-    for i, (p, c) in enumerate(zip(runs["parent"], runs["change"])):
-        if p["digest"] != c["digest"]:
-            print(f"DIGESTS DIFFER: pair {i} (seed {used[i]}): "
-                  f"{p['digest']} vs {c['digest']}")
     return 0
 
 
