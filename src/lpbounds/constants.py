@@ -4,7 +4,8 @@ and sublevel <-> p-mean conversion bounds.
 
 Each quadrature-backed constant is reported as a ConstantReport carrying a
 closed form, an independent cross-check, their relative gap, and the full
-input provenance, so regression files are self-describing.
+input provenance, so regression files are self-describing.  The assembled
+constants are closed forms of the box and p, with no cross-check.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from .geometry import (
     system_shrink,
     unit_ball_volume,
     _lattice,
-    _sup_bisect,
 )
-from .quadrature import integrate, measure
+from .fields import bump_function
+from .quadrature import integrate
 from .averages import SMAX, heatball_unit_volume, pmvi_constant
 
 __all__ = [
@@ -217,16 +218,18 @@ def kappa_max(m: int, n: int) -> ConstantReport:
                 "unit_ball_dim": m, "y_slice_monotone": y_monotone})
 
 
-def adjoint_constant(D, domain: Box, bump, budget: int = 100_000,
-                     seed: int = 0) -> ConstantReport:
-    """L^1 testing constant c = ||phi||_1 / ||D* phi||_inf for a bump phi.
+def adjoint_constant(D, domain: Box, center, radius: float,
+                     budget: int = 100_000, seed: int = 0) -> ConstantReport:
+    """L^1 testing constant c = ||phi||_1 / ||D* phi||_inf for the bump phi
+    of the given center and radius (fields.bump_function).
 
     Numerator: radial closed-form quadrature, cross-checked by Monte Carlo.
     Denominator: sup of |D* phi| over a lattice plus random samples of the
     support, using the bump's exact derivatives.
     """
-    center = np.asarray(bump.params["center"], dtype=float)
-    radius = float(bump.params["radius"])
+    bump = bump_function(center, radius)
+    center = np.asarray(center, dtype=float)
+    radius = float(radius)
     d = len(center)
     if D.dim != d or domain.dim != d:
         raise ValueError("operator/domain/bump dimension mismatch")
@@ -263,103 +266,81 @@ def adjoint_constant(D, domain: Box, bump, budget: int = 100_000,
                 "numerator_mc": num_mc, "sup_adjoint": den})
 
 
-def assemble_cp_laplace(n: int, omega: Box, p: float, budget: int = 100_000,
-                        seed: int = 0, R1: float | None = None,
-                        R2: float | None = None) -> ConstantReport:
+def _cp_report(name: str, p: float, kn: float, R1: float, R2: float,
+               degree: int, ctil: float, shrunk: Box,
+               inputs: dict) -> ConstantReport:
+    """c_p = min(c (R1^degree / C~_p)^{1/p}, c |Omega_{R1,R2}|^{1/p}) with
+    c = K R2^2 / 2, the MVI and sublevel branches of the assembly.
+
+    The sublevel factor |c - K R2^2| of the paper equals c exactly.
+    """
+    c = kn * R2 * R2 / 2.0
+    branch_mvi = c * (R1 ** degree / ctil) ** (1.0 / p)
+    branch_sublevel = c * shrunk.measure ** (1.0 / p)
+    return ConstantReport(
+        name=name, closed_form=min(branch_mvi, branch_sublevel),
+        inputs={**inputs, "p": p, "R1": R1, "R2": R2, "c": c, "C_p": ctil,
+                "vol_exact": shrunk.measure, "branch_mvi": branch_mvi,
+                "branch_sublevel": branch_sublevel})
+
+
+def assemble_cp_laplace(omega: Box, p: float) -> ConstantReport:
     """The assembled L^p lower-bound constant for Delta u >= 1 on a box.
 
-    R1 = inradius/4, R2 = half the remaining inradius, c = K_n R2^2 / 2;
-    c_p = min(c (R1^n / C~_p)^{1/p}, |c - K_n R2^2| |Omega_{R1+R2}|^{1/p}).
-    The shrunken-domain measure is exact for boxes; Monte Carlo provides
-    the cross-check.
+    The inradius is the least half-width; R1 = inradius/4, R2 = half the
+    remaining inradius, and the shrunken domain is the box inset by R1 + R2.
     """
     if not isinstance(omega, Box):
         raise TypeError("assembly implemented for box domains only")
-    if omega.dim != n:
-        raise ValueError("domain dimension must equal n")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
-    rho = _sup_bisect(lambda R: euclidean_shrink(omega, R) is not None,
-                      hi=float(np.min(omega.halfwidths())))
-    if R1 is None:
-        R1 = rho / 4.0
-    if R2 is None:
-        R2 = (rho - R1) / 2.0
-    if R1 + R2 >= rho or min(R1, R2) <= 0:
-        raise ValueError("domain too small for the chosen R1 + R2")
-    kn = k_laplace(n)
-    c = kn * R2 * R2 / 2.0
-    sys = euclidean_system(n)
-    ctil = pmvi_constant(1.0 / unit_ball_volume(n), sys, p)
-    branch1 = c * (R1**n / ctil) ** (1.0 / p)
-    shr = euclidean_shrink(omega, R1 + R2)
-    vol_exact = shr.measure
-    vol_mc = measure(omega, predicate=shr.contains, budget=budget,
-                     seed=seed).value
-    gap = abs(c - kn * R2 * R2)
-    closed = min(branch1, gap * vol_exact ** (1.0 / p))
-    cross = min(branch1, gap * vol_mc ** (1.0 / p))
-    return ConstantReport(
-        name=f"c_p[laplace,n={n},p={p:g}]", closed_form=closed,
-        cross_check=cross,
-        inputs={"n": n, "p": p, "R1": R1, "R2": R2, "c": c, "C_p": ctil,
-                "inradius": rho, "vol_exact": vol_exact, "vol_mc": vol_mc,
-                "branch_mvi": branch1,
-                "branch_sublevel": gap * vol_exact ** (1.0 / p)})
+    n = omega.dim
+    rho = float(np.min(omega.halfwidths()))
+    R1 = rho / 4.0
+    R2 = (rho - R1) / 2.0
+    ctil = pmvi_constant(1.0 / unit_ball_volume(n), euclidean_system(n), p)
+    return _cp_report(f"c_p[laplace,n={n},p={p:g}]", p, k_laplace(n), R1, R2,
+                      n, ctil, euclidean_shrink(omega, R1 + R2),
+                      {"n": n, "inradius": rho})
 
 
-def assemble_cp_heat(n: int, m: int, omega: Box, p: float,
-                     budget: int = 100_000, seed: int = 0,
-                     R1: float | None = None,
-                     R2: float | None = None) -> ConstantReport:
-    """The assembled L^p lower-bound constant for Hu >= 1 on a spacetime box.
+def assemble_cp_heat(omega: Box, p: float) -> ConstantReport:
+    """The assembled L^p lower-bound constant for Hu >= 1 on a spacetime box
+    with n = omega.dim - 1 space axes.
 
     Branch 1 (MVI dichotomy) shrinks Omega by the bounding-box balls of the
-    parabolic system, so every kept center has its full candidate box inside
-    Omega, as the radius-function hypothesis requires; branch 2 shrinks the
-    result by heat balls of radius R2.  c = K_n R2^2 / 2 with the heat drop
-    constant, C~_p from the p-MVI with C = M_{m,n}, R(0) = 1/2, K = 2.
+    parabolic system with m = 3, the least m whose kernel is bounded, so
+    every kept center has its full candidate box inside Omega, as the
+    radius-function hypothesis requires; branch 2 shrinks the result s1 by
+    heat balls of radius R2.  c = K_n R2^2 / 2 with the heat drop constant,
+    C~_p from the p-MVI with C = M_{3,n}, R(0) = 1/2, K = 2.
+
+    Both inradii are closed forms: the system ball B_r fits iff
+    r^lambda_i w_i < h_i on every axis (unit half-widths w, box half-widths
+    h), and the heat ball of radius r fits in s1 iff
+    r sqrt(n/(2 pi e)) < h_i in space and r^2/(4 pi) < 2 h_t in time.
     """
     if not isinstance(omega, Box):
         raise TypeError("assembly implemented for box domains only")
-    if omega.dim != n + 1:
-        raise ValueError("domain dimension must equal n + 1")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
-    if m < 3:
-        raise ValueError("m must be at least 3")
-    sys = parabolic_box_system(m, n)
-    rho = _sup_bisect(lambda R: system_shrink(omega, sys, R) is not None)
-    if R1 is None:
-        R1 = rho / 4.0
-    s1 = system_shrink(omega, sys, R1)
-    if s1 is None:
-        raise ValueError("domain too small for the chosen R1")
-    sigma = _sup_bisect(lambda R: heatball_shrink(s1, R, n) is not None)
-    if R2 is None:
-        R2 = sigma / 2.0
+    n, m = omega.dim - 1, 3
     kn = k_heat_value(n)
-    c = kn * R2 * R2 / 2.0
+    sys = parabolic_box_system(m, n)
+    rho = float(np.min((omega.halfwidths() / sys.unit_ball.halfwidths())
+                       ** (1.0 / np.asarray(sys.lambdas))))
+    R1 = rho / 4.0
+    s1 = system_shrink(omega, sys, R1)
+    hw = s1.halfwidths()
+    sigma = min(float(np.min(hw[:n])) / math.sqrt(n / (2.0 * math.pi * math.e)),
+                math.sqrt(8.0 * math.pi * hw[n]))
+    R2 = sigma / 2.0
     mreport = kappa_max(m, n)
     ctil = pmvi_constant(mreport.closed_form, sys, p)
-    branch1 = c * (R1 ** (n + 2) / ctil) ** (1.0 / p)
-    omt = heatball_shrink(s1, R2, n)
-    if omt is None:
-        raise ValueError("domain too small for the chosen R2")
-    vol_exact = omt.measure
-    vol_mc = measure(omega, predicate=omt.contains, budget=budget,
-                     seed=seed).value
-    gap = abs(c - kn * R2 * R2)
-    closed = min(branch1, gap * vol_exact ** (1.0 / p))
-    cross = min(branch1, gap * vol_mc ** (1.0 / p))
-    return ConstantReport(
-        name=f"c_p[heat,n={n},m={m},p={p:g}]", closed_form=closed,
-        cross_check=cross,
-        inputs={"n": n, "m": m, "p": p, "R1": R1, "R2": R2, "c": c,
-                "C_p": ctil, "M": mreport.closed_form, "inradius_box": rho,
-                "inradius_heat": sigma, "vol_exact": vol_exact,
-                "vol_mc": vol_mc, "branch_mvi": branch1,
-                "branch_sublevel": gap * vol_exact ** (1.0 / p)})
+    return _cp_report(f"c_p[heat,n={n},m={m},p={p:g}]", p, kn, R1, R2, n + 2,
+                      ctil, heatball_shrink(s1, R2, n),
+                      {"n": n, "m": m, "M": mreport.closed_form,
+                       "inradius_box": rho, "inradius_heat": sigma})
 
 
 def sublevel_to_pmean_bound(C: float, delta: float, p: float,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,7 +57,6 @@ class ScalarField:
     hess_fn: Callable[[np.ndarray], np.ndarray] | None = None
     domain: Box | None = None
     name: str = ""
-    params: dict = dc_field(default_factory=dict)
 
 
 def field_sum(fields: Sequence[ScalarField], coeffs: Sequence[float] | None = None,
@@ -297,8 +296,7 @@ def bump_function(center: Sequence[float], radius: float) -> ScalarField:
         return h
 
     dom = Box(tuple(c - r), tuple(c + r))
-    return ScalarField(d, fn, grad_fn, hess_fn, domain=dom, name="bump",
-                       params={"center": tuple(c), "radius": r})
+    return ScalarField(d, fn, grad_fn, hess_fn, domain=dom, name="bump")
 
 
 def _log_kernel_derivs(pts, src, n, order):

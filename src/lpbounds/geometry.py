@@ -299,26 +299,6 @@ def parabolic_box_system(m: int, n: int) -> BallSystem:
                       name=f"parabolic-box-{m}-{n}")
 
 
-def _sup_bisect(predicate, hi: float = 1.0) -> float:
-    """sup{r > 0 : predicate(r)} for a predicate true below the sup.
-
-    Doubles hi (at most 64 times) while the predicate holds, then bisects
-    [0, hi] 60 times; returns the last r known to hold, 0.0 if none does.
-    """
-    grew = 0
-    while predicate(hi) and grew < 64:
-        hi *= 2.0
-        grew += 1
-    lo = 0.0
-    for _ in range(60):
-        mid = (lo + hi) / 2.0
-        if predicate(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def radius_function(sys: BallSystem, domain, a) -> np.ndarray:
     """R(a) = sup{r : B~_r(a) subset domain} / divisor, of Prop-2.9 type.
 

@@ -4,9 +4,13 @@ Each suite runs a fixed list of statements and reports pass/fail with a
 numeric margin (positive = slack before failure) and the seed that
 reproduces the statement.  A statement's seed is (config seed +
 crc32(statement id)) mod 2^31, so a single check can be re-run in
-isolation.  Two exceptions: deterministic checks record the config seed,
-and prop-general/l1-lower[field=i] records the seed of the field it
-integrates, prop-general/field[i].
+isolation.  Two exceptions: 30 deterministic checks of constants-audit and
+counterexamples (the k-laplace, regression, kappa, golden-max, table-shape,
+comb, target-bound and hessian-family ids) record the config seed, and
+prop-general/l1-lower[field=i] records the seed of the field it integrates,
+prop-general/field[i].  Other deterministic checks, such as the
+closed-form MVI constants, l1-linear/du-at-least-one[*] and the
+cp-positive ids, record the derived seed.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .fields import (
     ScalarField,
     polynomial_field,
     quadratic_field,
-    bump_function,
     monomial_field,
     neg_time_field,
     random_laplace_one,
@@ -192,14 +195,13 @@ def _suite_lp_thm(cfg, seed, heat=False):
     """End-to-end L^p lower bound for Delta u >= 1 on the unit square or, with
     heat=True, for Hu >= 1 on the unit spacetime square."""
     name = "heat-thm" if heat else "laplace-thm"
-    assemble = (partial(assemble_cp_heat, 1, 3) if heat
-                else partial(assemble_cp_laplace, 2))
     random_field = partial(random_heat_one, n=1) if heat else random_laplace_one
     budget = cfg["budget"]
     square = _unit_square()
     for p in cfg["p_list"]:
         sid = f"{name}/cp-positive[p={p:g}]"
-        rep = assemble(square, p, budget=budget, seed=seed(sid))
+        rep = (assemble_cp_heat(square, p) if heat
+               else assemble_cp_laplace(square, p))
         cp = rep.closed_form
         yield sid, cp > 0.0, cp
         for i in range(cfg["fields"]):
@@ -214,9 +216,9 @@ def _suite_l1_linear(cfg, seed):
     budget = cfg["budget"]
     square = _unit_square()
     D = mixed_xy_operator()
-    bump = bump_function((0.5, 0.5), 0.4)
     sid = "l1-linear/adjoint-constant"
-    rep = adjoint_constant(D, square, bump, budget=budget, seed=seed(sid))
+    rep = adjoint_constant(D, square, (0.5, 0.5), 0.4, budget=budget,
+                           seed=seed(sid))
     c = rep.closed_form
     yield sid, c > 0.0 and (rep.rel_gap is None or rep.rel_gap < 0.05), c
 
@@ -248,9 +250,9 @@ def _suite_prop_general(cfg, seed):
     budget = cfg["budget"]
     square = _unit_square()
     D = laplacian_operator(2)
-    bump = bump_function((0.5, 0.5), 0.4)
     sid = "prop-general/adjoint-constant"
-    rep = adjoint_constant(D, square, bump, budget=budget, seed=seed(sid))
+    rep = adjoint_constant(D, square, (0.5, 0.5), 0.4, budget=budget,
+                           seed=seed(sid))
     c = rep.closed_form
     yield sid, c > 0.0, c
     eps = c / (2.0 * square.measure)
@@ -525,28 +527,26 @@ def _suite_constants_audit(cfg, seed):
 
     square = _unit_square()
     sid = "constants/adjoint-laplace"
-    rep = adjoint_constant(laplacian_operator(2), square,
-                           bump_function((0.5, 0.5), 0.4),
+    rep = adjoint_constant(laplacian_operator(2), square, (0.5, 0.5), 0.4,
                            budget=budget, seed=seed(sid))
     ok = rep.closed_form > 0 and rep.rel_gap < 0.05
     yield sid, ok, 0.05 - rep.rel_gap
 
     sid = "constants/adjoint-scaling"
-    small, big = (adjoint_constant(mixed_xy_operator(), square,
-                                   bump_function((0.5, 0.5), radius),
-                                   budget=budget, seed=seed(sid))
+    small, big = (adjoint_constant(mixed_xy_operator(), square, (0.5, 0.5),
+                                   radius, budget=budget, seed=seed(sid))
                   for radius in (0.2, 0.4))
     ratio = big.closed_form / small.closed_form
     gap = abs(ratio / 2.0 ** (2 + 2) - 1.0)
     yield sid, gap <= 1e-9, 1e-9 - gap
 
     sid = "constants/assemble-laplace-positive"
-    rep = assemble_cp_laplace(2, square, 0.5, budget=budget, seed=seed(sid))
-    yield sid, rep.closed_form > 0.0, rep.closed_form
+    cp = assemble_cp_laplace(square, 0.5).closed_form
+    yield sid, cp > 0.0, cp
 
     sid = "constants/assemble-heat-positive"
-    rep = assemble_cp_heat(1, 3, square, 0.5, budget=budget, seed=seed(sid))
-    yield sid, rep.closed_form > 0.0, rep.closed_form
+    cp = assemble_cp_heat(square, 0.5).closed_form
+    yield sid, cp > 0.0, cp
 
     sid = "constants/table-shape"
     rows = constants_table(ns=(1,), ms=(3,), budget=10_000, seed=seed0)
@@ -604,8 +604,7 @@ def _suite_counterexamples(cfg, seed):
 
     sid = "ce/steinerberger-product"
     u = wit["field"]
-    rep = adjoint_constant(laplacian_operator(2), square,
-                           bump_function((0.5, 0.5), 0.4),
+    rep = adjoint_constant(laplacian_operator(2), square, (0.5, 0.5), 0.4,
                            budget=budget, seed=seed(sid))
     cpr = rep.closed_form / 2.0
     epsv = rep.closed_form / (2.0 * square.measure)

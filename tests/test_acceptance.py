@@ -177,7 +177,7 @@ def test_criterion_07_assembled_constants():
     floor = math.inf
     lap = {}
     for p in (0.25, 0.5, 0.75):
-        rep = assemble_cp_laplace(2, SQUARE, p, budget=100_000, seed=3)
+        rep = assemble_cp_laplace(SQUARE, p)
         ok = ok and rep.closed_form > 0.0
         lap[p] = rep.closed_form
     for s in range(20):
@@ -188,7 +188,7 @@ def test_criterion_07_assembled_constants():
             floor = min(floor, hi / cp)
     heat = {}
     for p in (0.25, 0.5, 0.75):
-        rep = assemble_cp_heat(1, 3, SQUARE, p, budget=100_000, seed=4)
+        rep = assemble_cp_heat(SQUARE, p)
         ok = ok and rep.closed_form > 0.0
         heat[p] = rep.closed_form
     for s in range(20):

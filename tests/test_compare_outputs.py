@@ -34,7 +34,18 @@ def test_float_drift_is_measured(tmp_path, capsys):
     out = out.replace("-2.4e-23", "4.1e-23")
     assert _compare(tmp_path, {"run/out.csv": out}) == 0
     report = capsys.readouterr().out
-    assert "run/out.csv: max_rel_drift=4e-14 below_floor=1" in report
+    assert "run/out.csv: max_rel_drift=4e-14 below_floor=1\n" in report
+
+
+def test_tiny_float_drift_is_bounded_by_sign(tmp_path, capsys):
+    # a same-sign pair below the 1e-15 floor gets a relative drift; the
+    # sign flip of the test above is only counted
+    out = _BASE["run/out.csv"].replace("-2.4e-23", "-3e-23")
+    assert _compare(tmp_path, {"run/out.csv": out}) == 0
+    report = capsys.readouterr().out
+    assert ("run/out.csv: max_rel_drift=0 below_floor=1 "
+            "below_floor_drift=0.2") in report
+    assert "largest relative drift 0, below the floor 0.2" in report
 
 
 @pytest.mark.parametrize("edits", [

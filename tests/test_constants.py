@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpbounds.geometry import Box, EuclideanBall, unit_ball_volume
-from lpbounds.fields import LinearOperator, bump_function, laplacian_operator
+from lpbounds.geometry import (Box, EuclideanBall, euclidean_shrink,
+                               heatball_shrink, parabolic_box_system,
+                               system_shrink, unit_ball_volume)
+from lpbounds.fields import LinearOperator, laplacian_operator
 from lpbounds.averages import SMAX
 from lpbounds.constants import (
     ConstantReport,
@@ -133,15 +135,13 @@ def test_kappa_max_grid(m, n):
 def test_adjoint_constant_cross_check_and_guards():
     D = laplacian_operator(2)
     dom = Box((0.0, 0.0), (1.0, 1.0))
-    rep = adjoint_constant(D, dom, bump_function((0.5, 0.5), 0.4),
-                           budget=100_000, seed=0)
+    rep = adjoint_constant(D, dom, (0.5, 0.5), 0.4, budget=100_000, seed=0)
     assert rep.closed_form > 0
     assert rep.rel_gap < 0.05
     with pytest.raises(ValueError):
-        adjoint_constant(D, dom, bump_function((0.5, 0.5), 0.6))
+        adjoint_constant(D, dom, (0.5, 0.5), 0.6)
     with pytest.raises(ValueError):
-        adjoint_constant(D, Box((0.0,) * 3, (1.0,) * 3),
-                         bump_function((0.5, 0.5), 0.4))
+        adjoint_constant(D, Box((0.0,) * 3, (1.0,) * 3), (0.5, 0.5), 0.4)
 
 
 def test_adjoint_constant_fails_closed_on_nan_sup(monkeypatch):
@@ -158,46 +158,76 @@ def test_adjoint_constant_fails_closed_on_nan_sup(monkeypatch):
     monkeypatch.setattr(LinearOperator, "apply", nan_at_one_sample)
     with pytest.raises(ValueError, match="adjoint sup"):
         adjoint_constant(laplacian_operator(2), Box((0.0, 0.0), (1.0, 1.0)),
-                         bump_function((0.5, 0.5), 0.4), budget=20_000)
+                         (0.5, 0.5), 0.4, budget=20_000)
 
 
 def test_adjoint_constant_scaling():
     # c scales as radius^{d + order} = radius^4 for the plane Laplacian
     D = laplacian_operator(2)
     dom = Box((-2.0, -2.0), (2.0, 2.0))
-    small = adjoint_constant(D, dom, bump_function((0.0, 0.0), 0.2), seed=3)
-    big = adjoint_constant(D, dom, bump_function((0.0, 0.0), 0.4), seed=3)
+    small = adjoint_constant(D, dom, (0.0, 0.0), 0.2, seed=3)
+    big = adjoint_constant(D, dom, (0.0, 0.0), 0.4, seed=3)
     assert abs(big.closed_form / small.closed_form - 16.0) <= 1e-9
 
 
 def test_assemble_cp_laplace():
     om = Box((0.0, 0.0), (1.0, 1.0))
-    rep = assemble_cp_laplace(2, om, 0.5, budget=50_000, seed=0)
-    rep2 = assemble_cp_laplace(2, om, 0.5, budget=50_000, seed=0)
+    rep = assemble_cp_laplace(om, 0.5)
     assert rep.closed_form > 0
-    assert rep.closed_form == rep2.closed_form
+    assert rep.cross_check is None and rep.rel_gap is None
+    assert rep.inputs["inradius"] == 0.5
     assert rep.inputs["R1"] + rep.inputs["R2"] < rep.inputs["inradius"]
+    # the sublevel factor |c - K R2^2| is c itself
+    assert rep.inputs["branch_sublevel"] == (rep.inputs["c"]
+                                             * rep.inputs["vol_exact"] ** 2)
     with pytest.raises(TypeError):
-        assemble_cp_laplace(2, EuclideanBall((0.0, 0.0), 1.0), 0.5)
+        assemble_cp_laplace(EuclideanBall((0.0, 0.0), 1.0), 0.5)
     with pytest.raises(ValueError):
-        assemble_cp_laplace(3, om, 0.5)
-    with pytest.raises(ValueError):
-        assemble_cp_laplace(2, om, 1.5)
-    with pytest.raises(ValueError):
-        assemble_cp_laplace(2, om, 0.5, R1=0.4, R2=0.2)
+        assemble_cp_laplace(om, 1.5)
 
 
 def test_assemble_cp_heat():
     om = Box((0.0, 0.0), (1.0, 1.0))
-    rep = assemble_cp_heat(1, 3, om, 0.5, budget=50_000, seed=0)
+    rep = assemble_cp_heat(om, 0.5)
     assert rep.closed_form > 0
+    assert rep.name == "c_p[heat,n=1,m=3,p=0.5]"
     assert rep.inputs["M"] == pytest.approx(KAPPA_MAX_31, rel=1e-12)
     with pytest.raises(ValueError):
-        assemble_cp_heat(1, 2, om, 0.5)
+        assemble_cp_heat(Box((0.0,), (1.0,)), 0.5)
     with pytest.raises(ValueError):
-        assemble_cp_heat(2, 3, om, 0.5)
+        assemble_cp_heat(om, 0.0)
     with pytest.raises(TypeError):
-        assemble_cp_heat(1, 3, EuclideanBall((0.0, 0.0), 1.0), 0.5)
+        assemble_cp_heat(EuclideanBall((0.0, 0.0), 1.0), 0.5)
+
+
+_INRADIUS_BOXES = [Box((0.0, 0.0), (1.0, 1.0)),      # square
+                   Box((0.0, 0.0), (1.0, 0.01)),     # thin in time
+                   Box((0.0, 0.0), (0.01, 1.0))]     # thin in space
+
+
+@pytest.mark.parametrize("om", _INRADIUS_BOXES)
+def test_laplace_inradius_is_the_sup(om):
+    rho = assemble_cp_laplace(om, 0.5).inputs["inradius"]
+    assert isinstance(euclidean_shrink(om, rho * (1 - 1e-12)), Box)
+    assert euclidean_shrink(om, rho * (1 + 1e-12)) is None
+
+
+@pytest.mark.parametrize("om", _INRADIUS_BOXES + [
+    Box((0.0, 0.0, 0.0), (1.0, 0.7, 1.0)),
+    Box((0.0, 0.0, 0.0), (1.0, 1.0, 0.01))])
+def test_heat_inradii_are_the_sups(om):
+    # the system ball of radius inradius_box, and then the heat ball of
+    # radius inradius_heat inside s1 = system_shrink(om, R1), fits just
+    # below the inradius and not just above it
+    rep = assemble_cp_heat(om, 0.5)
+    n = om.dim - 1
+    sys = parabolic_box_system(3, n)
+    rho, sigma = rep.inputs["inradius_box"], rep.inputs["inradius_heat"]
+    assert isinstance(system_shrink(om, sys, rho * (1 - 1e-12)), Box)
+    assert system_shrink(om, sys, rho * (1 + 1e-12)) is None
+    s1 = system_shrink(om, sys, rep.inputs["R1"])
+    assert isinstance(heatball_shrink(s1, sigma * (1 - 1e-12), n), Box)
+    assert heatball_shrink(s1, sigma * (1 + 1e-12), n) is None
 
 
 def test_sublevel_pmean_conversions_against_linear_field():

@@ -17,7 +17,6 @@ from lpbounds.geometry import (
     system_shrink,
     unit_ball_volume,
 )
-from lpbounds.geometry import _sup_bisect
 
 SMAX = 1.0 / (4.0 * math.pi)
 
@@ -260,14 +259,6 @@ def test_radius_function_containment_property(ax, ay, lam):
     assert sup > 0
     assert _fits(dom, sys, a, sup * (1 - 1e-9))
     assert not _fits(dom, sys, a, sup * 1.02)
-
-
-def test_sup_bisect_known_sup_and_never():
-    assert _sup_bisect(lambda r: r * r < 10.0) == pytest.approx(math.sqrt(10.0),
-                                                               rel=1e-12)
-    assert _sup_bisect(lambda r: r <= 0.3, hi=0.5) == pytest.approx(0.3,
-                                                                  rel=1e-12)
-    assert _sup_bisect(lambda r: False) == 0.0
 
 
 def test_shrinks():

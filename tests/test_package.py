@@ -55,12 +55,25 @@ def _bound_arguments(call, params):
     return bound
 
 
+def _imported_or_defined(tree):
+    """Names a module imports (at any depth) or defines at its top level."""
+    names = {node.name for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {a.asname or a.name for a in node.names}
+    return names
+
+
 def test_no_public_parameter_is_a_fixed_knob():
     # a parameter of a public function is a knob left unturned when it has
     # a default that no call in the package sets, or when every call in the
-    # package passes it the same literal (at least two calls).  Functions
-    # used as values (aliased, or handed to partial) are skipped, since
-    # their calls cannot be traced by name.
+    # package passes it the same literal (at least two calls).
+    # partial(f, *a, **kw) counts as a call of f with those arguments.
+    # Functions otherwise used as values (aliased, stored) are skipped,
+    # since their calls cannot be traced by name; a name counts as such a
+    # use only in a module that imports or defines it, so a local variable
+    # of the same name elsewhere does not hide the function.
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(SRC.glob("*.py"))
              if path.name != "__init__.py"}
@@ -75,12 +88,19 @@ def test_no_public_parameter_is_a_fixed_knob():
     for tree in trees.values():
         callees = set()
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id in calls):
-                calls[node.func.id].append(node)
-                callees.add(id(node.func))
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            if (isinstance(func, ast.Name) and func.id == "partial" and args
+                    and isinstance(args[0], ast.Name)):
+                func, args = args[0], args[1:]
+            if isinstance(func, ast.Name) and func.id in calls:
+                calls[func.id].append(ast.Call(func, args, node.keywords))
+                callees.add(id(func))
+        bound_here = _imported_or_defined(tree)
         as_value |= {node.id for node in ast.walk(tree)
                      if isinstance(node, ast.Name) and node.id in calls
+                     and node.id in bound_here
                      and isinstance(node.ctx, ast.Load)
                      and id(node) not in callees}
     knobs = []

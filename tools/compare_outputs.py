@@ -8,7 +8,9 @@ exit codes, violation counts, row counts and keys must all match exactly.
 Otherwise prints, for each file whose floats differ, the largest relative
 drift |a - b| / max(|a|, |b|) over pairs with max(|a|, |b|) >= 1e-15 and
 the number of differing pairs below that floor, then the overall largest
-drift, and exits 0.
+drift, and exits 0.  Tiny constants (c_p is near 1e-39) fall below the
+floor, so for differing pairs below it that share a sign, the largest
+relative drift is printed too, as below_floor_drift.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ def main(argv: list[str]) -> int:
     if names != other:
         print(f"different files: {sorted(names ^ other)}")
         return 1
-    worst = 0.0
+    worst = worst_tiny = 0.0
     for name in sorted(names):
         with open(os.path.join(a_root, name)) as fa, \
                 open(os.path.join(b_root, name)) as fb:
@@ -55,19 +57,25 @@ def main(argv: list[str]) -> int:
         if ta != tb:
             print(f"{name}: text differs outside its floats")
             return 1
-        drift, below = 0.0, 0
+        drift, below, tiny = 0.0, 0, None
         for x, y in zip(xa, xb):
             if x == y or (math.isnan(x) and math.isnan(y)):
                 continue
             scale = max(abs(x), abs(y))
-            if scale < FLOOR:
-                below += 1
-            else:
+            if scale >= FLOOR:
                 drift = max(drift, abs(x - y) / scale)
+                continue
+            below += 1
+            if x * y > 0.0:
+                tiny = max(tiny or 0.0, abs(x - y) / scale)
         if drift or below:
-            print(f"{name}: max_rel_drift={drift:.3g} below_floor={below}")
+            extra = "" if tiny is None else f" below_floor_drift={tiny:.3g}"
+            print(f"{name}: max_rel_drift={drift:.3g} "
+                  f"below_floor={below}{extra}")
         worst = max(worst, drift)
-    print(f"{len(names)} files; largest relative drift {worst:.3g}")
+        worst_tiny = max(worst_tiny, tiny or 0.0)
+    print(f"{len(names)} files; largest relative drift {worst:.3g}, "
+          f"below the floor {worst_tiny:.3g}")
     return 0
 
 
