@@ -200,9 +200,11 @@ def test_assemble_cp_heat():
         assemble_cp_heat(EuclideanBall((0.0, 0.0), 1.0), 0.5)
 
 
-_INRADIUS_BOXES = [Box((0.0, 0.0), (1.0, 1.0)),      # square
-                   Box((0.0, 0.0), (1.0, 0.01)),     # thin in time
-                   Box((0.0, 0.0), (0.01, 1.0))]     # thin in space
+# a square, a box thin in its last (for heat, time) axis, and one thin in
+# its first (space) axis
+_INRADIUS_BOXES = [Box((0.0, 0.0), (1.0, 1.0)),
+                   Box((0.0, 0.0), (1.0, 0.01)),
+                   Box((0.0, 0.0), (0.01, 1.0))]
 
 
 @pytest.mark.parametrize("om", _INRADIUS_BOXES)
