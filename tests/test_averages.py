@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lpbounds import averages
-from lpbounds.geometry import Box, EuclideanBall, Heatball, euclidean_system
+from lpbounds.geometry import (
+    BallSystem,
+    Box,
+    EuclideanBall,
+    Heatball,
+    euclidean_system,
+    parabolic_box_system,
+)
 from lpbounds.fields import (
     ScalarField,
     neg_time_field,
@@ -329,6 +336,9 @@ _CALORIC = ScalarField(2, lambda pts: 1.0 + 0.5 * pts[:, 0] ** 2,
                        domain=Box((0.0, 0.0), (1.0, 1.0)))
 _C = 0.98 / math.pi
 _SMALL = {"trials": 100, "samples_per_trial": 256}
+# the parabolic boxes scale time by r^2 (lambda = (1, 2)); with C = 1/|B~_1|
+# the caloric field's margins are small and live
+_PARABOLIC = parabolic_box_system(3, 1)
 _PINNED_RUNS = {
     "check_mvi": lambda s: check_mvi(
         _HARMONIC, euclidean_system(2), _C, seed=s, **_SMALL),
@@ -343,6 +353,8 @@ _PINNED_RUNS = {
     "check_modified_heatball_mvi": lambda s: check_modified_heatball_mvi(
         _CALORIC, 3, [(0.3, 0.9), (0.5, 0.9), (0.7, 0.9)], budget=4000,
         seed=s),
+    "check_mvi[parabolic-box-3-1]": lambda s: check_mvi(
+        _CALORIC, _PARABOLIC, 1.0 / _PARABOLIC.unit_volume, seed=s, **_SMALL),
 }
 # (*astuple(report), worst_margin.hex()) at seeds 0, 1 and 2
 _PINNED = {
@@ -394,6 +406,14 @@ _PINNED = {
         ("modified-heatball[m=3]", 147.22742281119645, 3, 0, 8.696690128013877,
          2, "0x1.164b491868804p+3"),
     ],
+    "check_mvi[parabolic-box-3-1]": [
+        ("mvi", 3.245839615342855, 100, 0, 1.0700511388073153e-07, 0,
+         "0x1.cb955df000000p-24"),
+        ("mvi", 3.245839615342855, 100, 0, 3.945036139985092e-07, 1,
+         "0x1.a79853e400000p-22"),
+        ("mvi", 3.245839615342855, 100, 0, 5.536714889897709e-06, 2,
+         "0x1.7390099ac0000p-18"),
+    ],
 }
 
 
@@ -404,6 +424,36 @@ def test_mvi_reports_pinned(name):
     for seed, want in enumerate(_PINNED[name]):
         rep = _PINNED_RUNS[name](seed)
         assert (*dataclasses.astuple(rep), rep.worst_margin.hex()) == want
+
+
+class _CountingBall:
+    """A unit ball that records the size of every sample drawn from it."""
+
+    def __init__(self, ball):
+        self.ball = ball
+        self.counts = []
+        self.dim = ball.dim
+        self.measure = ball.measure
+
+    def sample(self, count, rng):
+        self.counts.append(count)
+        return self.ball.sample(count, rng)
+
+
+def test_mvi_harness_escalation_pinned():
+    # u_+ lives on the ridge |x - 1/2| < 1e-3; at seed 0 one of the 200
+    # centres lies on it, and none of its 16 ball samples does, so that
+    # trial is re-run at 16 * 64 samples, whose margin is the worst
+    ridge = ScalarField(2, lambda pts: 1e-3 - np.abs(pts[:, 0] - 0.5),
+                        domain=Box((0.0, 0.0), (1.0, 1.0)))
+    ball = _CountingBall(_PARABOLIC.unit_ball)
+    sys = BallSystem(ball, _PARABOLIC.lambdas)
+    rep = check_mvi(ridge, sys, 1.0 / math.pi, trials=200, seed=0,
+                    samples_per_trial=16)
+    assert ball.counts == [16, 16 * 64]
+    assert (*dataclasses.astuple(rep), rep.worst_margin.hex()) == (
+        "mvi", 0.3183098861837907, 200, 1, -0.0009238248744210494, 0,
+        "-0x1.e459acfba31dep-11")
 
 
 def test_check_modified_heatball_mvi():

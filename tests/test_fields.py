@@ -378,10 +378,11 @@ _POLYNOMIAL_DIGESTS = {
 }
 
 
-def _field_digest(f):
+def _field_digest(f, pts=None):
     import hashlib
 
-    pts = _pinned_points(f.dim)
+    if pts is None:
+        pts = _pinned_points(f.dim)
     h = hashlib.sha256()
     for out in (f.fn(pts), f.grad_fn(pts), f.hess_fn(pts)):
         h.update(np.ascontiguousarray(out, dtype=np.float64).tobytes())
@@ -391,6 +392,61 @@ def _field_digest(f):
 def test_polynomial_field_bits_pinned():
     got = {label: _field_digest(f) for label, f in _polynomial_families()}
     assert got == _POLYNOMIAL_DIGESTS
+
+
+def _harmonic_families():
+    """(label, field, centre) for every field built on
+    harmonic_polynomial_field: random_harmonic and random_laplace_one on the
+    unit square and on an off-centre box, and the counterexample fit."""
+    from fractions import Fraction
+    from lpbounds.counterexamples import build_comb, ccw_target, fit_harmonic
+
+    out = []
+    for where, dom in (("square", Box((0.0, 0.0), (1.0, 1.0))),
+                       ("offset", Box((0.1, -0.3), (0.9, 1.7)))):
+        for seed in (0, 1, 2):
+            tag = f"{seed}-{where}"
+            out.append((f"harmonic-{tag}", random_harmonic(seed, dom),
+                        dom.center))
+            out.append((f"laplace-one-{tag}", random_laplace_one(seed, dom),
+                        dom.center))
+    comb = build_comb(Fraction(1, 8))
+    fit = fit_harmonic(ccw_target(comb), comb, 10)
+    out.append(("ccw-fit-10", fit.as_field(), fit.center))
+    return out
+
+
+def _centre_line_points(centre):
+    """_pinned_points(2) moved to centre, with rows 8-15 on x = cx and rows
+    16-23 on y = cy, where x - cx or y - cy is exactly zero."""
+    pts = _pinned_points(2) + np.asarray(centre)
+    pts[8:16, 0] = centre[0]
+    pts[16:24, 1] = centre[1]
+    return pts
+
+
+# _field_digest on _centre_line_points of each harmonic family
+_HARMONIC_DIGESTS = {
+    "harmonic-0-square": "13dabe46ce0569f8",
+    "laplace-one-0-square": "49d1c3f73157a833",
+    "harmonic-1-square": "e79233f54544e280",
+    "laplace-one-1-square": "2f8e475181e65470",
+    "harmonic-2-square": "628e2c227c1c7005",
+    "laplace-one-2-square": "6c1fa185db4b993d",
+    "harmonic-0-offset": "3e96fa322ee3b9a3",
+    "laplace-one-0-offset": "cc5893ddc0ae45b3",
+    "harmonic-1-offset": "b15431be21bb8e0e",
+    "laplace-one-1-offset": "9b996f18a89d811c",
+    "harmonic-2-offset": "aa81e71f3d9bfae3",
+    "laplace-one-2-offset": "7e7aaa9e4bef42a6",
+    "ccw-fit-10": "b3e24a6e34a66103",
+}
+
+
+def test_harmonic_field_bits_pinned():
+    got = {label: _field_digest(f, _centre_line_points(c))
+           for label, f, c in _harmonic_families()}
+    assert got == _HARMONIC_DIGESTS
 
 
 def _reference_quadratic(dim, a, coeff, spatial):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from lpbounds.geometry import (
     euclidean_shrink,
     heatball_shrink,
     system_shrink,
+    unit_ball_points,
     unit_ball_volume,
 )
 
@@ -26,6 +28,29 @@ def test_unit_ball_volume_known_values():
     assert unit_ball_volume(2) == pytest.approx(math.pi)
     assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0)
     assert unit_ball_volume(4) == pytest.approx(math.pi**2 / 2.0)
+
+
+# First 16 hex digits of the SHA-256 of unit_ball_points(d, 4096,
+# default_rng(d), scale), and the generator's PCG64 state after the call,
+# which fixes the order and the number of the draws
+_UNIT_BALL_PINS = {
+    (1, 1.0): ("63adeec3c91ca24e", 0xf65781f105604b1aa4d001629c8a4c3f),
+    (1, 0.3): ("79210a4954f5d46f", 0xf65781f105604b1aa4d001629c8a4c3f),
+    (2, 1.0): ("100871920a2fa0f7", 0x66096b6fa4296f550a7507d46f0b8bb8),
+    (2, 0.3): ("35c478538609d69d", 0x66096b6fa4296f550a7507d46f0b8bb8),
+    (3, 1.0): ("6417b9ae58a46e4c", 0xcec56fca005a602f368df94d69f6358f),
+    (3, 0.3): ("0aeb971a4a498781", 0xcec56fca005a602f368df94d69f6358f),
+}
+
+
+@pytest.mark.parametrize("d, scale", list(_UNIT_BALL_PINS))
+def test_unit_ball_points_pinned(d, scale):
+    rng = np.random.default_rng(d)
+    pts = unit_ball_points(d, 4096, rng, scale)
+    assert pts.shape == (4096, d)
+    digest = hashlib.sha256(np.ascontiguousarray(pts).tobytes()).hexdigest()
+    state = rng.bit_generator.state["state"]["state"]
+    assert (digest[:16], state) == _UNIT_BALL_PINS[d, scale]
 
 
 def test_box_basics():
