@@ -324,6 +324,21 @@ def sample_admissible(sys: BallSystem, domain, trials: int,
 _ESCALATION = (64, 2048)
 
 
+def _ball_points(a: np.ndarray, scales: np.ndarray,
+                 unit: np.ndarray) -> np.ndarray:
+    """(k, samples, d) points a[i] + scales[i] * unit[j] of k balls.
+
+    Built one column at a time: the same bits as the broadcast over the
+    short last axis, in a fraction of its time.
+    """
+    out = np.empty((len(a), len(unit), a.shape[1]))
+    for j in range(a.shape[1]):
+        col = out[:, :, j]
+        np.multiply(scales[:, j, None], unit[None, :, j], out=col)
+        col += a[:, None, j]
+    return out
+
+
 def _mvi_harness(kind: str, values_of, sys: BallSystem, constant: float,
                  trials: int, seed: int, domain, samples: int) -> MviCheckReport:
     """Shared MVI test loop.
@@ -351,6 +366,9 @@ def _mvi_harness(kind: str, values_of, sys: BallSystem, constant: float,
     unit = sys.unit_ball.sample(samples, unit_rng)
 
     lhs = values_of(np.asarray(a))
+    # an array power: a scalar r ** 2.0 would take NumPy's square loop,
+    # which rounds differently
+    scales = r[:, None] ** lam[None, :]
     means = np.empty(trials)
     ses = np.empty(trials)
     # one BATCH_SIZE-point block of trials at a time; every trial reduces
@@ -358,8 +376,7 @@ def _mvi_harness(kind: str, values_of, sys: BallSystem, constant: float,
     chunk = max(1, BATCH_SIZE // samples)
     for start in range(0, trials, chunk):
         stop = min(start + chunk, trials)
-        scales = r[start:stop, None, None] ** lam[None, None, :]
-        pts = a[start:stop, None, :] + scales * unit[None, :, :]
+        pts = _ball_points(a[start:stop], scales[start:stop], unit)
         flat = values_of(pts.reshape(-1, sys.dim)).reshape(stop - start, samples)
         means[start:stop] = np.mean(flat, axis=1)
         ses[start:stop] = np.std(flat, axis=1, ddof=1) / math.sqrt(samples)
@@ -370,8 +387,8 @@ def _mvi_harness(kind: str, values_of, sys: BallSystem, constant: float,
         for factor in _ESCALATION:
             big = samples * factor
             unit_big = sys.unit_ball.sample(big, esc_rng)
-            pts = a[i] + (r[i] ** lam) * unit_big
-            vals = values_of(pts)
+            vals = values_of(_ball_points(a[i:i + 1], scales[i:i + 1],
+                                          unit_big)[0])
             means[i] = float(np.mean(vals))
             ses[i] = float(np.std(vals, ddof=1) / math.sqrt(big))
             if means[i] > 0.0:

@@ -183,29 +183,43 @@ def harmonic_polynomial_field(pairs: Sequence[tuple[int, complex]],
     """u(x, y) = Re sum_k gamma_k w^k with w = ((x-cx) + i(y-cy))/scale.
 
     Exactly harmonic; derivatives come from the complex derivative, so the
-    Hessian is trace-free to rounding.
+    Hessian is trace-free to rounding.  w is filled from (x-cx) * (1/scale)
+    and (y-cy) * (1/scale), the products NumPy's complex-by-real division
+    forms.  A power-0 term adds its coefficient and a power-1 term
+    multiplies w itself, as g * w ** 0 and g * w ** 1 would at finite
+    points.  Powers k >= 2 stay w ** k: NumPy's small-integer power loop
+    rounds unlike a product of w's.
     """
     ks = [int(k) for k, _ in pairs]
     gs = [complex(g) for _, g in pairs]
     cx, cy = (float(center[0]), float(center[1]))
     s = float(scale)
+    inv = 1.0 / s
+    # (coefficient, power of w) of the value and of the first and second
+    # complex derivatives, with the coefficients as the derivatives form them
+    series = ([(g, k) for k, g in zip(ks, gs)],
+              [(g * k, k - 1) for k, g in zip(ks, gs) if k >= 1],
+              [(g * k * (k - 1), k - 2) for k, g in zip(ks, gs) if k >= 2])
 
-    def w_of(pts):
-        return ((pts[:, 0] - cx) + 1j * (pts[:, 1] - cy)) / s
+    def sum_of(pts, order):
+        w = np.empty(len(pts), dtype=complex)
+        w.real = (pts[:, 0] - cx) * inv
+        w.imag = (pts[:, 1] - cy) * inv
+        acc = np.zeros(len(pts), dtype=complex)
+        for c, j in series[order]:
+            if j == 0:
+                acc += c
+            elif j == 1:
+                acc += c * w
+            else:
+                acc += c * w**j
+        return acc
 
     def fn(pts):
-        w = w_of(pts)
-        acc = np.zeros(len(pts), dtype=complex)
-        for k, g in zip(ks, gs):
-            acc += g * w**k
-        return acc.real
+        return sum_of(pts, 0).real
 
     def grad_fn(pts):
-        w = w_of(pts)
-        d1 = np.zeros(len(pts), dtype=complex)
-        for k, g in zip(ks, gs):
-            if k >= 1:
-                d1 += g * k * w ** (k - 1)
+        d1 = sum_of(pts, 1)
         d1 /= s
         g = np.empty((len(pts), 2))
         g[:, 0] = d1.real
@@ -213,11 +227,7 @@ def harmonic_polynomial_field(pairs: Sequence[tuple[int, complex]],
         return g
 
     def hess_fn(pts):
-        w = w_of(pts)
-        d2 = np.zeros(len(pts), dtype=complex)
-        for k, g in zip(ks, gs):
-            if k >= 2:
-                d2 += g * k * (k - 1) * w ** (k - 2)
+        d2 = sum_of(pts, 2)
         d2 /= s * s
         h = np.empty((len(pts), 2, 2))
         h[:, 0, 0] = d2.real
