@@ -425,7 +425,8 @@ def _centre_line_points(centre):
     return pts
 
 
-# _field_digest on _centre_line_points of each harmonic family
+# _field_digest on _centre_line_points of each harmonic family; like
+# _POLYNOMIAL_DIGESTS they belong to one NumPy build and CPU
 _HARMONIC_DIGESTS = {
     "harmonic-0-square": "13dabe46ce0569f8",
     "laplace-one-0-square": "49d1c3f73157a833",
