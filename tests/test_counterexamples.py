@@ -151,6 +151,35 @@ def test_hessian_family_determinant_and_collapse():
         hessian_family_check(10, 0.0)
 
 
+# Every field of hessian_family_check(N, 0.1), floats as float.hex.  At
+# N = 10 and 100 a sup-grid block holds many x-rows, at N = 1000 two, and
+# at N = 2048 (ny = 65,536) exactly one.
+_HESSIAN_FAMILY_BITS = {
+    10: ("0x1.d17cf40a34d35p-51", "0x1.ffffffffffffep-1",
+         "0x1.1659f756ceb5dp-1", "0x1.165a208dd12bap-1", False, False),
+    100: ("0x1.bfb158b7591d7p-51", "0x1.ffffffffffffep-1",
+          "0x1.bd5b72f04b09cp-5", "0x1.bd5d00e2e845dp-5", True, True),
+    1000: ("0x1.fc4f564186e99p-51", "0x1.ffffffffffffcp-1",
+           "0x1.644a671ba65f6p-8", "0x1.644a671bed04bp-8", True, True),
+    2048: ("0x1.d17cf40a34d35p-51", "0x1.ffffffffffffcp-1",
+           "0x1.5bf0a70b202ccp-9", "0x1.5bf0a8b145769p-9", True, True),
+}
+
+
+@pytest.mark.parametrize("N", sorted(_HESSIAN_FAMILY_BITS))
+def test_hessian_family_bits_pinned(N):
+    err, det, sup, bound, empty, empty_grid = _HESSIAN_FAMILY_BITS[N]
+    out = hessian_family_check(N, 0.1)
+    assert out == {"N": N, "c": 0.1, "max_rel_err": float.fromhex(err),
+                   "min_det": float.fromhex(det),
+                   "sup_grid": float.fromhex(sup),
+                   "sup_bound": float.fromhex(bound),
+                   "superlevel_empty": empty,
+                   "superlevel_empty_on_grid": empty_grid}
+    assert all(type(out[k]) is float for k in
+               ("max_rel_err", "min_det", "sup_grid", "sup_bound"))
+
+
 def test_lift_check_product_bound():
     u = monomial_field(1)  # ||x||_1 = 1/2 on (0, 1)
     wide = Box((0.0,), (2.0,))
