@@ -93,8 +93,10 @@ def _ball_mean(u, x: np.ndarray, reach: float, value, budget: int,
 
 def _heatball_mean(u, center: np.ndarray, reach: float, m: int, value,
                    budget: int, seed: int,
-                   method: str = "mc-slice-importance") -> QuadResult:
-    """mc_mean of value(y, s, w) over unit heat-ball slice samples.
+                   method: str = "mc-slice-importance",
+                   threads: int = 1) -> QuadResult:
+    """mc_mean of value(y, s, w) over unit heat-ball slice samples, its
+    batches on threads workers.
 
     The slices use the kernel dimension m + n.  Raises unless reach > 0 and
     the heat ball E_m(center; reach) lies in u's domain (u = None: no check).
@@ -106,7 +108,7 @@ def _heatball_mean(u, center: np.ndarray, reach: float, m: int, value,
     n = len(center) - 1
     return mc_mean(lambda rng, count: value(*_slice_samples(n, m + n, count,
                                                             rng)),
-                   budget, seed, method)
+                   budget, seed, method, threads)
 
 
 def _fd(term, r: float, h: float):
@@ -263,13 +265,13 @@ def modified_heatball_average(u, center, r: float, m: int,
     return _heatball_mean(u, center, r, m, value, budget, seed)
 
 
-def heatball_unit_volume(n: int, budget: int = 200_000,
-                         seed: int = 0) -> QuadResult:
+def heatball_unit_volume(n: int, budget: int = 200_000, seed: int = 0,
+                         threads: int = 1) -> QuadResult:
     """Monte Carlo |E(1)| in slice coordinates (importance sampler weight)."""
     if n < 1:
         raise ValueError("n must be at least 1")
     return _heatball_mean(None, np.zeros(n + 1), 1.0, 0,
-                          lambda y, s, w: w, budget, seed)
+                          lambda y, s, w: w, budget, seed, threads=threads)
 
 
 @dataclass(frozen=True)

@@ -235,7 +235,8 @@ def _cmd_constants(cfg: dict, out_dir: str) -> int:
     from .constants import constants_table
 
     rows = constants_table(ns=tuple(cfg["ns"]), ms=tuple(cfg["ms"]),
-                           budget=cfg["budget"], seed=cfg["seed"])
+                           budget=cfg["budget"], seed=cfg["seed"],
+                           threads=cfg["threads"])
     table = [[r.name, r.closed_form,
               "" if r.cross_check is None else r.cross_check,
               "" if r.rel_gap is None else r.rel_gap,
@@ -381,7 +382,8 @@ def _cmd_counterexample(cfg: dict, out_dir: str) -> int:
         raise UsageError(f"bad delta {cfg['delta']!r}: {exc}")
     wit = assemble_ccw_witness(delta, degree=cfg["degree"],
                                samples_per_rect=cfg["samples_per_rect"],
-                               seed=cfg["seed"], budget=cfg["budget"])
+                               seed=cfg["seed"], budget=cfg["budget"],
+                               threads=cfg["threads"])
     ok = wit["passed"]
     comb = wit["comb"]
     rows = [[str(comb.delta), wit["degree"], comb.count, comb.measure,

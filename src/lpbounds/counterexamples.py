@@ -28,7 +28,7 @@ from .fields import (
     laplacian_operator,
     neg_hessian_det,
 )
-from .quadrature import integrate
+from .quadrature import BATCH_SIZE, _pool_map, integrate
 
 __all__ = [
     "CombSet",
@@ -245,7 +245,8 @@ def fit_harmonic(target: CcwTarget, comb: CombSet, degree: int,
 
 
 def assemble_ccw_witness(delta, degree: int, samples_per_rect: int = 64,
-                         seed: int = 0, budget: int = 200_000) -> dict:
+                         seed: int = 0, budget: int = 200_000,
+                         threads: int = 1) -> dict:
     """Full pipeline: comb -> target -> fit -> u = v - fit, plus certificates.
 
     Returns the witness field and the numbers backing the sublevel claim:
@@ -253,7 +254,9 @@ def assemble_ccw_witness(delta, degree: int, samples_per_rect: int = 64,
     sublevel set {|u| <= tau} has measure at least the comb's.  passed is
     the verdict: Delta u = 1 to 1e-8, |u| <= tau on a grid over the comb,
     and the upper 3-SE bound of the sublevel measure at least the comb's,
-    with sublevel_slack the room in that last inequality.
+    with sublevel_slack the room in that last inequality.  threads runs
+    the sublevel measure's batches on a pool; the result does not depend
+    on it.
     """
     comb = build_comb(delta)
     target = ccw_target(comb)
@@ -268,7 +271,7 @@ def assemble_ccw_witness(delta, degree: int, samples_per_rect: int = 64,
     lap_err = float(np.max(np.abs(laplacian_operator(2).apply(u, grid) - 1.0)))
 
     sub = integrate(lambda pts: (np.abs(u.fn(pts)) <= tau).astype(float),
-                    square, budget=budget, seed=seed)
+                    square, budget=budget, seed=seed, threads=threads)
     comb_grid_ok = True
     for rect in comb.rects:
         g = _rect_grid(rect, 80, 20)
@@ -285,13 +288,19 @@ def assemble_ccw_witness(delta, degree: int, samples_per_rect: int = 64,
             "sublevel_slack": sub_hi - comb.measure}
 
 
-def hessian_family_check(N: float, c: float) -> dict:
+def hessian_family_check(N: float, c: float, threads: int = 1) -> dict:
     """u_N = (e^x sin(Ny) + e)/N on the unit square.
 
     det(-Hess u_N) = e^{2x} for every N (checked on a 64 x 64 grid against
     the exponential directly), yet sup|u_N| <= 2e/N, so the superlevel set
     {|u_N| >= c} empties once N > 2e/c while the Hessian target never drops
     below 1.
+
+    sup_grid is max |u_N| over a 128 x ny grid, ny = min(max(1024, 32 N),
+    65536), scanned in blocks of whole x-rows of at most BATCH_SIZE points
+    (on a pool of threads workers), so memory does not grow with N.  Block
+    maxima are folded with np.max, so a NaN anywhere on the grid reaches
+    sup_grid.
     """
     if N < 1 or c <= 0:
         raise ValueError("need N >= 1 and c > 0")
@@ -305,8 +314,15 @@ def hessian_family_check(N: float, c: float) -> dict:
 
     ny = int(min(max(1024, 32 * N), 65536))
     ys = np.linspace(0.0, 1.0, ny)
-    fine = _lattice([np.linspace(0.0, 1.0, 128), ys])
-    sup_grid = float(np.max(np.abs(u.fn(fine))))
+    xs = np.linspace(0.0, 1.0, 128)
+    rows = max(1, BATCH_SIZE // ny)
+
+    def block_max(i: int) -> float:
+        block = _lattice([xs[i * rows:(i + 1) * rows], ys])
+        return np.max(np.abs(u.fn(block)))
+
+    sup_grid = float(np.max(_pool_map(block_max, -(-len(xs) // rows),
+                                      threads)))
     sup_bound = 2.0 * math.e / N
     return {"N": N, "c": c, "max_rel_err": max_rel_err,
             "min_det": min_det, "sup_grid": sup_grid, "sup_bound": sup_bound,
@@ -315,7 +331,7 @@ def hessian_family_check(N: float, c: float) -> dict:
 
 
 def lift_check(u, omega2: Box, p: float, c: float, budget: int = 100_000,
-               seed: int = 0) -> dict:
+               seed: int = 0, threads: int = 1) -> dict:
     """v(x, y) = u(x) on Omega1 x Omega2 satisfies ||v||_p >= c |Omega2|^{1/p}
     whenever ||u||_p >= c on Omega1 (p > 0); verified within 3 SE."""
     if p <= 0:
@@ -327,7 +343,7 @@ def lift_check(u, omega2: Box, p: float, c: float, budget: int = 100_000,
     product = Box(om1.lo + omega2.lo, om1.hi + omega2.hi)
     fn = u.fn if hasattr(u, "fn") else u
     res = integrate(lambda pts: np.abs(np.asarray(fn(pts[:, :d1]))) ** p,
-                    product, budget=budget, seed=seed)
+                    product, budget=budget, seed=seed, threads=threads)
     lifted = res.value ** (1.0 / p) if res.value > 0 else 0.0
     guarded = res.ci()[1] ** (1.0 / p)
     bound = c * omega2.measure ** (1.0 / p)

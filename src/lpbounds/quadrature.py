@@ -112,6 +112,15 @@ def _moments(vals: np.ndarray) -> tuple[int, float, float]:
     return n, mean, m2
 
 
+def _pool_map(fn, count: int, threads: int) -> list:
+    """[fn(0), ..., fn(count - 1)], in index order; on a pool of threads
+    workers when threads > 1 and there is more than one call."""
+    if threads > 1 and count > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, range(count)))
+    return [fn(i) for i in range(count)]
+
+
 def mc_mean(draw, budget: int, seed: int, method: str,
             threads: int = 1) -> QuadResult:
     """Seeded Monte Carlo mean of per-sample values.
@@ -128,12 +137,7 @@ def mc_mean(draw, budget: int, seed: int, method: str,
         rng = np.random.default_rng(streams[i])
         return _moments(np.asarray(draw(rng, plan[i]), dtype=float))
 
-    if threads > 1 and len(plan) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run_batch, range(len(plan))))
-    else:
-        parts = [run_batch(i) for i in range(len(plan))]
-    n, mean, m2 = _merge_stats(parts)
+    n, mean, m2 = _merge_stats(_pool_map(run_batch, len(plan), threads))
     var = m2 / (n - 1) if n > 1 else 0.0
     se = math.sqrt(max(var, 0.0) / n)
     return QuadResult(value=mean, std_error=se, samples=n, method=method)

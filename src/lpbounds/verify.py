@@ -170,7 +170,7 @@ def _const_field(value: float, dim: int, domain: Box | None = None) -> ScalarFie
 
 
 def _guarded_norm(u, region, p: float, budget: int, seed: int,
-                  threads: int = 1) -> float:
+                  threads: int) -> float:
     """(integral of |u|^p + 3 SE)^{1/p}, an upper confidence quasinorm."""
     res = integrate(lambda pts: np.abs(np.asarray(u.fn(pts))) ** p, region,
                     budget=budget, seed=seed, threads=threads)
@@ -218,7 +218,7 @@ def _suite_l1_linear(cfg, seed):
     D = mixed_xy_operator()
     sid = "l1-linear/adjoint-constant"
     rep = adjoint_constant(D, square, (0.5, 0.5), 0.4, budget=budget,
-                           seed=seed(sid))
+                           seed=seed(sid), threads=cfg["threads"])
     c = rep.closed_form
     yield sid, c > 0.0 and (rep.rel_gap is None or rep.rel_gap < 0.05), c
 
@@ -252,7 +252,7 @@ def _suite_prop_general(cfg, seed):
     D = laplacian_operator(2)
     sid = "prop-general/adjoint-constant"
     rep = adjoint_constant(D, square, (0.5, 0.5), 0.4, budget=budget,
-                           seed=seed(sid))
+                           seed=seed(sid), threads=cfg["threads"])
     c = rep.closed_form
     yield sid, c > 0.0, c
     eps = c / (2.0 * square.measure)
@@ -460,8 +460,7 @@ def _suite_mvi_family(cfg, seed):
 
 def _suite_constants_audit(cfg, seed):
     """Closed forms vs independent routes for every named constant."""
-    budget = cfg["budget"]
-    seed0 = cfg["seed"]
+    budget, seed0, threads = cfg["budget"], cfg["seed"], cfg["threads"]
 
     for n, want in ((1, 1.0 / 6.0), (2, 0.125), (3, 0.1)):
         sid = f"constants/k-laplace[n={n}]"
@@ -471,7 +470,8 @@ def _suite_constants_audit(cfg, seed):
         sid = f"constants/heatball-volume[n={n}]"
         ex = heatball_unit_volume_exact(n)
         qd = heatball_unit_volume_quad(n)
-        mc = heatball_unit_volume(n, budget=2 * budget, seed=seed(sid))
+        mc = heatball_unit_volume(n, budget=2 * budget, seed=seed(sid),
+                                  threads=threads)
         ok, margin = _agree(mc, ex, 1e-12)
         yield sid, abs(ex - qd) <= 1e-9 * ex and ok, margin
 
@@ -480,12 +480,13 @@ def _suite_constants_audit(cfg, seed):
     yield sid, abs(ex1 - 0.030628) <= 1e-5, 1e-5 - abs(ex1 - 0.030628), seed0
 
     sid = "constants/heatball-scaling"
-    mc2 = measure(Heatball((0.0, 0.0), 2.0), budget=2 * budget, seed=seed(sid))
+    mc2 = measure(Heatball((0.0, 0.0), 2.0), budget=2 * budget, seed=seed(sid),
+                  threads=threads)
     yield sid, *_agree(mc2, 2.0**3 * ex1)
 
     for n in (1, 2):
         sid = f"constants/k-heat[n={n}]"
-        rep = k_heat(n, budget=2 * budget, seed=seed(sid))
+        rep = k_heat(n, budget=2 * budget, seed=seed(sid), threads=threads)
         ok = rep.closed_form > 0 and rep.rel_gap < 0.02
         yield sid, ok, 0.02 - rep.rel_gap
 
@@ -528,13 +529,14 @@ def _suite_constants_audit(cfg, seed):
     square = _unit_square()
     sid = "constants/adjoint-laplace"
     rep = adjoint_constant(laplacian_operator(2), square, (0.5, 0.5), 0.4,
-                           budget=budget, seed=seed(sid))
+                           budget=budget, seed=seed(sid), threads=threads)
     ok = rep.closed_form > 0 and rep.rel_gap < 0.05
     yield sid, ok, 0.05 - rep.rel_gap
 
     sid = "constants/adjoint-scaling"
     small, big = (adjoint_constant(mixed_xy_operator(), square, (0.5, 0.5),
-                                   radius, budget=budget, seed=seed(sid))
+                                   radius, budget=budget, seed=seed(sid),
+                                   threads=threads)
                   for radius in (0.2, 0.4))
     ratio = big.closed_form / small.closed_form
     gap = abs(ratio / 2.0 ** (2 + 2) - 1.0)
@@ -549,7 +551,8 @@ def _suite_constants_audit(cfg, seed):
     yield sid, cp > 0.0, cp
 
     sid = "constants/table-shape"
-    rows = constants_table(ns=(1,), ms=(3,), budget=10_000, seed=seed0)
+    rows = constants_table(ns=(1,), ms=(3,), budget=10_000, seed=seed0,
+                           threads=threads)
     names = [r.name for r in rows]
     ok = ("k_laplace[n=1]" in names and "k_heat[n=1]" in names
           and any(nm.startswith("heatball_volume") for nm in names)
@@ -559,8 +562,7 @@ def _suite_constants_audit(cfg, seed):
 
 def _suite_counterexamples(cfg, seed):
     """Comb construction, Runge fit, oscillating Hessian family, lift."""
-    budget = cfg["budget"]
-    seed0 = cfg["seed"]
+    budget, seed0, threads = cfg["budget"], cfg["seed"], cfg["threads"]
     square = _unit_square()
 
     for k in (2, 3, 4, 5):
@@ -599,25 +601,25 @@ def _suite_counterexamples(cfg, seed):
 
     sid = "ce/witness"
     wit = assemble_ccw_witness(Fraction(1, 8), degree=12, seed=seed(sid),
-                               budget=2 * budget)
+                               budget=2 * budget, threads=threads)
     yield sid, wit["passed"], wit["sublevel_slack"]
 
     sid = "ce/steinerberger-product"
     u = wit["field"]
     rep = adjoint_constant(laplacian_operator(2), square, (0.5, 0.5), 0.4,
-                           budget=budget, seed=seed(sid))
+                           budget=budget, seed=seed(sid), threads=threads)
     cpr = rep.closed_form / 2.0
     epsv = rep.closed_form / (2.0 * square.measure)
     sup = dense_box_sup(u, square, interior=96, edge=4097)
     mu = measure(square, lambda pts: np.abs(u.fn(pts)) >= epsv,
-                 budget=budget, seed=seed(sid))
+                 budget=budget, seed=seed(sid), threads=threads)
     lhs = sup * mu.ci()[1]
     yield sid, lhs >= cpr, lhs - cpr
 
     sups = {}
     for N in (10, 100, 1000):
         sid = f"ce/hessian-family[N={N}]"
-        rep = hessian_family_check(N, c=0.1)
+        rep = hessian_family_check(N, c=0.1, threads=threads)
         sups[N] = rep["sup_grid"]
         ok = rep["max_rel_err"] <= 1e-11 and rep["min_det"] >= 1.0 - 1e-11
         if N > 2 * math.e / 0.1:
@@ -633,10 +635,11 @@ def _suite_counterexamples(cfg, seed):
         sid = f"ce/lift[p={p:g}]"
         base = random_laplace_one(seed(sid), domain=square)
         lo = integrate(lambda pts: np.abs(base.fn(pts)) ** p, square,
-                       budget=budget, seed=seed(sid))
+                       budget=budget, seed=seed(sid), threads=threads)
         c = max(lo.ci()[0], 0.0) ** (1.0 / p) * 0.999
         rep, rep2 = (lift_check(base, Box((0.0,), (length,)), p, c,
-                                budget=2 * budget, seed=seed(sid))
+                                budget=2 * budget, seed=seed(sid),
+                                threads=threads)
                      for length in (1.0, 2.0))
         scale_ok = abs(rep2["bound"] / rep["bound"] - 2.0 ** (1.0 / p)) <= 1e-12
         yield (sid, rep["passed"] and rep2["passed"] and scale_ok,
@@ -671,9 +674,9 @@ def _suite_pmeans(cfg, seed):
     sid = "pmeans/chebyshev"
     epsv = 0.05
     mu = measure(square, lambda pts: np.abs(u.fn(pts)) >= epsv, budget=budget,
-                 seed=seed(sid))
+                 seed=seed(sid), threads=cfg["threads"])
     mu_lo = max(mu.ci()[0], 0.0)
-    norm_hi = _guarded_norm(u, square, 2.0, budget, seed(sid))
+    norm_hi = _guarded_norm(u, square, 2.0, budget, seed(sid), cfg["threads"])
     lhs = epsv * mu_lo ** 0.5
     yield sid, lhs <= norm_hi, norm_hi - lhs
 
@@ -708,7 +711,7 @@ def _suite_pmeans(cfg, seed):
     epsv = 0.1
     cap = pmean_to_sublevel_bound(cval, -0.5, 1.0, epsv)
     mu = measure(interval, lambda pts: np.abs(pts[:, 0]) <= epsv,
-                 budget=budget, seed=seed(sid))
+                 budget=budget, seed=seed(sid), threads=cfg["threads"])
     lo = mu.ci()[0]
     yield sid, lo <= cap, cap - lo
 

@@ -97,3 +97,40 @@ def test_gain_reads_void_when_a_change_run_fails_more(tmp_path, monkeypatch,
     with pytest.raises(SystemExit):
         bench_pairs.main([str(parent), str(change), "--workload", "lp-thm",
                           "--seconds", "3"])
+
+
+def test_regression_beyond_the_bound_is_flagged():
+    # heat-deriv setup_s went from 0.126 to 0.181 s (+44%) against a 0.25
+    # bound; a +20% move stays inside it, and a gain never regresses
+    s = bench_pairs.summarize([0.126] * 10, [0.181] * 10, "lower")
+    assert bench_pairs.regressed(s, "lower", 0.25)
+    s = bench_pairs.summarize([0.126] * 10, [0.1512] * 10, "lower")
+    assert not bench_pairs.regressed(s, "lower", 0.25)
+    s = bench_pairs.summarize([2.0] * 10, [1.0] * 10, "higher")
+    assert bench_pairs.regressed(s, "higher", 0.25)
+    assert not bench_pairs.regressed(s, "lower", 0.25)
+
+
+def test_main_prints_one_regressed_line_per_metric(tmp_path, monkeypatch,
+                                                  capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    (parent / "BENCHMARK.json").write_text(
+        '{"run_seconds": 7, "end_to_end": ['
+        '{"name": "wall_s", "better": "lower", "bound": 0.25},'
+        '{"name": "setup_s", "better": "lower", "bound": 0.25},'
+        '{"name": "cpu_s", "better": "lower", "bound": 0.25}]}')
+
+    def fake_run(tree, workload, seed, seconds):
+        wall = PARENT[seed] - (0.5 if tree == change else 0.0)
+        setup = 0.181 if tree == change else 0.126
+        cpu = 1.2 * wall if tree == change else wall
+        return {"metrics": {"wall_s": wall, "setup_s": setup,
+                            "cpu_s": cpu},
+                "correct": True, "failed": 0, "digest": "d0"}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    bench_pairs.main([str(parent), str(change), "--workload", "heat-deriv"])
+    out = capsys.readouterr().out
+    assert [ln for ln in out.splitlines() if ln.startswith("REGRESSED")] == [
+        "REGRESSED: setup_s +43.7%, bound 25%"]

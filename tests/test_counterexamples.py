@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lpbounds import counterexamples
 from lpbounds.geometry import Box
+from lpbounds.quadrature import BATCH_SIZE
 from lpbounds.fields import laplacian_operator, monomial_field
 from lpbounds.counterexamples import (
     assemble_ccw_witness,
@@ -178,6 +181,30 @@ def test_hessian_family_bits_pinned(N):
                    "superlevel_empty_on_grid": empty_grid}
     assert all(type(out[k]) is float for k in
                ("max_rel_err", "min_det", "sup_grid", "sup_bound"))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_hessian_family_scans_whole_rows_in_bounded_blocks(monkeypatch,
+                                                          threads):
+    # at N = 1000 the 128 x 32,000 sup grid is scanned two x-rows at a time
+    real = counterexamples.ccw_hessian_field
+    sizes = []
+
+    def recording(N):
+        u = real(N)
+        fn = u.fn
+
+        def fn_rec(pts):
+            sizes.append(len(pts))
+            return fn(pts)
+
+        return dataclasses.replace(u, fn=fn_rec)
+
+    monkeypatch.setattr(counterexamples, "ccw_hessian_field", recording)
+    out = hessian_family_check(1000, 0.1, threads=threads)
+    assert sorted(sizes) == [64_000] * 64
+    assert 64_000 <= BATCH_SIZE
+    assert out["sup_grid"] == float.fromhex(_HESSIAN_FAMILY_BITS[1000][2])
 
 
 def test_lift_check_product_bound():

@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from lpbounds import averages, constants, counterexamples, verify
+from lpbounds import averages, constants, counterexamples, quadrature, verify
 from lpbounds.verify import (
     CheckResult,
     SUITE_NAMES,
@@ -287,6 +287,39 @@ def test_kappa_boundary_check_fails_on_nan_kernel(monkeypatch):
 def test_pmeans_suite_passes():
     res = run_suite("pmeans", {"budget": 30_000})
     assert res.overall, [c.statement for c in res.checks if not c.passed]
+
+
+# Suites whose multi-batch Monte Carlo runs on cfg["threads"].  The averages
+# of deriv-formulas and mvi-family (ball_average, deriv1_rhs, the MVI
+# harness, ...) stay on one thread, and claims runs no Monte Carlo mean.
+THREADED_SUITES = ("counterexamples", "constants-audit", "l1-linear",
+                   "prop-general", "laplace-thm", "heat-thm", "pmeans")
+SINGLE_THREADED_SUITES = ("deriv-formulas", "mvi-family", "claims")
+
+
+def test_multi_batch_monte_carlo_runs_on_the_config_threads(monkeypatch):
+    assert (set(THREADED_SUITES) | set(SINGLE_THREADED_SUITES)
+            == set(SUITE_NAMES))
+    real = quadrature.mc_mean
+    calls = []
+
+    def recording(draw, budget, seed, method, threads=1):
+        calls.append((budget, threads))
+        return real(draw, budget, seed, method, threads)
+
+    monkeypatch.setattr(quadrature, "mc_mean", recording)
+    monkeypatch.setattr(averages, "mc_mean", recording)
+    budget = quadrature.BATCH_SIZE + 1000
+    for name in THREADED_SUITES:
+        rows = {}
+        for threads in (1, 2):
+            calls.clear()
+            res = run_suite(name, {"budget": budget, "fields": 2,
+                                   "threads": threads})
+            rows[threads] = [c.as_dict() for c in res.checks]
+        multi = {t for b, t in calls if b > quadrature.BATCH_SIZE}
+        assert multi == {2}, name
+        assert rows[1] == rows[2], name
 
 
 def test_suite_result_overall_tracks_checks():

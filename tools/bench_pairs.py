@@ -19,9 +19,11 @@ change wins at least nine tenths of them, and the medians differ, in the
 better direction, by more than the parent's interquartile range.  The
 gain reads "void" on every metric when any pair's change run failed more
 operations than its parent run, was not correct when the parent run was,
-or printed a different output digest; each such pair is listed.  The
-summary also lists the seeds and every run that reported
-``correct: false``.
+or printed a different output digest; each such pair is listed.  One
+``REGRESSED:`` line names each metric whose change median is worse than
+the parent median by more than the metric's ``bound`` in the parent's
+BENCHMARK.json, as a fraction of the parent median.  The summary also
+lists the seeds and every run that reported ``correct: false``.
 """
 
 from __future__ import annotations
@@ -56,6 +58,14 @@ def summarize(parent, change, better: str) -> dict:
     n = len(parent)
     return {"parent": pq, "change": cq, "wins": wins, "pairs": n,
             "gain": n >= 10 and wins >= 0.9 * n and gap > pq[2] - pq[0]}
+
+
+def regressed(s: dict, better: str, bound: float) -> bool:
+    """Whether summary s has a change median worse than the parent median
+    by more than bound times the parent median."""
+    sign = {"lower": -1.0, "higher": 1.0}[better]
+    pmed, cmed = s["parent"][1], s["change"][1]
+    return sign * (cmed - pmed) < -bound * abs(pmed)
 
 
 def voids(parent, change) -> list[str]:
@@ -130,6 +140,7 @@ def main(argv=None) -> int:
     print(f"\n{args.workload}: {args.pairs} pairs, {seconds:g} s runs, "
           f"seeds {','.join(map(str, used))}; parent first on even pairs")
     void = voids(runs["parent"], runs["change"])
+    worse = []
     print("metric  parent median [quartiles]  change median [quartiles]  "
           "change  wins  gain")
     for metric in spec["end_to_end"]:
@@ -141,6 +152,11 @@ def main(argv=None) -> int:
         print(f"{name}  {_fmt(s['parent'])}  {_fmt(s['change'])}  "
               f"{rel:+.1%}  {s['wins']}/{s['pairs']}  "
               f"{'void' if void else 'yes' if s['gain'] else 'no'}")
+        if "bound" in metric and regressed(s, metric["better"],
+                                           metric["bound"]):
+            worse.append(f"{name} {rel:+.1%}, bound {metric['bound']:.0%}")
+    for line in worse:
+        print(f"REGRESSED: {line}")
     for line in void:
         print(f"VOID: {line}")
     for side, side_runs in runs.items():
