@@ -326,14 +326,14 @@ def sample_admissible(sys: BallSystem, domain, trials: int,
 _ESCALATION = (64, 2048)
 
 
-def _ball_points(a: np.ndarray, scales: np.ndarray,
-                 unit: np.ndarray) -> np.ndarray:
-    """(k, samples, d) points a[i] + scales[i] * unit[j] of k balls.
+def _ball_points(a: np.ndarray, scales: np.ndarray, unit: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    """out, a (k, samples, d) array, filled with the points
+    a[i] + scales[i] * unit[j] of k balls.
 
     Built one column at a time: the same bits as the broadcast over the
     short last axis, in a fraction of its time.
     """
-    out = np.empty((len(a), len(unit), a.shape[1]))
     for j in range(a.shape[1]):
         col = out[:, :, j]
         np.multiply(scales[:, j, None], unit[None, :, j], out=col)
@@ -376,9 +376,13 @@ def _mvi_harness(kind: str, values_of, sys: BallSystem, constant: float,
     # one BATCH_SIZE-point block of trials at a time; every trial reduces
     # along its own row, so the block size changes no bit of the report
     chunk = max(1, BATCH_SIZE // samples)
+    # every block reuses one buffer: a fresh one per block can be returned
+    # to the OS and faulted in again each time, depending on heap layout
+    buf = np.empty((min(chunk, trials), samples, sys.dim))
     for start in range(0, trials, chunk):
         stop = min(start + chunk, trials)
-        pts = _ball_points(a[start:stop], scales[start:stop], unit)
+        pts = _ball_points(a[start:stop], scales[start:stop], unit,
+                           buf[:stop - start])
         flat = values_of(pts.reshape(-1, sys.dim)).reshape(stop - start, samples)
         means[start:stop] = np.mean(flat, axis=1)
         ses[start:stop] = np.std(flat, axis=1, ddof=1) / math.sqrt(samples)
@@ -390,7 +394,8 @@ def _mvi_harness(kind: str, values_of, sys: BallSystem, constant: float,
             big = samples * factor
             unit_big = sys.unit_ball.sample(big, esc_rng)
             vals = values_of(_ball_points(a[i:i + 1], scales[i:i + 1],
-                                          unit_big)[0])
+                                          unit_big,
+                                          np.empty((1, big, sys.dim)))[0])
             means[i] = float(np.mean(vals))
             ses[i] = float(np.std(vals, ddof=1) / math.sqrt(big))
             if means[i] > 0.0:
