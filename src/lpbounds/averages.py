@@ -136,12 +136,11 @@ def ball_average(u, x, r: float, budget: int = 100_000,
     return _ball_mean(u, x, r, lambda z: term(r, z), budget, seed)
 
 
-def ball_average_fd(u, x, r: float, h: float | None = None,
-                    budget: int = 100_000, seed: int = 0) -> QuadResult:
-    """Centered difference quotient of the ball average in r."""
+def ball_average_fd(u, x, r: float, budget: int = 100_000,
+                    seed: int = 0) -> QuadResult:
+    """Centered difference quotient of the ball average in r, step 1e-3 r."""
     x = np.asarray(x, dtype=float)
-    if h is None:
-        h = 1e-3 * r
+    h = 1e-3 * r
     quotient = _fd(_ball_term(u, x), r, h)
     return _ball_mean(u, x, r + h, quotient, budget, seed, "mc-ball-fd")
 
@@ -213,12 +212,12 @@ def heatball_average(u, center, r: float, budget: int = 100_000,
                           lambda y, s, w: term(r, y, s, w), budget, seed)
 
 
-def heatball_average_fd(u, center, r: float, h: float | None = None,
-                        budget: int = 100_000, seed: int = 0) -> QuadResult:
-    """Centered difference quotient of the heat-ball average in r."""
+def heatball_average_fd(u, center, r: float, budget: int = 100_000,
+                        seed: int = 0) -> QuadResult:
+    """Centered difference quotient of the heat-ball average in r, step
+    1e-3 r."""
     center = np.asarray(center, dtype=float)
-    if h is None:
-        h = 1e-3 * r
+    h = 1e-3 * r
     quotient = _fd(_heatball_term(u, center), r, h)
     return _heatball_mean(u, center, r + h, 0, quotient, budget, seed,
                           "mc-slice-importance-fd")
@@ -417,37 +416,38 @@ def _report(kind: str, constant: float, scale: float, band: float,
                           worst_margin=float(np.min(margins)), seed=seed)
 
 
-def _positive_values(u_plus):
+def _positive_values(u):
+    """Map of points to u_+ = max(u, 0): the checkers' one clamp."""
     def values(pts):
-        return np.maximum(np.asarray(u_plus.fn(pts), dtype=float), 0.0)
+        return np.maximum(np.asarray(u.fn(pts), dtype=float), 0.0)
 
     return values
 
 
-def _power_values(u_plus, a: float):
+def _power_values(u, a: float):
     """Map of points to u_+ ** a."""
-    base = _positive_values(u_plus)
+    base = _positive_values(u)
     return lambda pts: base(pts) ** a
 
 
-def check_mvi(u_plus, sys: BallSystem, C: float, trials: int = 1000,
+def check_mvi(u, sys: BallSystem, C: float, trials: int = 1000,
               seed: int = 0, samples_per_trial: int = 1024) -> MviCheckReport:
     """Tests u_+(a) <= (C/r^A) int_{B_r(a)} u_+ + 3 SE on admissible pairs
-    of u_plus's domain box."""
-    base = _positive_values(u_plus)
-    return _mvi_harness("mvi", base, sys, C, trials, seed, u_plus.domain,
+    of u's domain box."""
+    base = _positive_values(u)
+    return _mvi_harness("mvi", base, sys, C, trials, seed, u.domain,
                         samples_per_trial)
 
 
-def check_pmvi(u_plus, sys: BallSystem, C: float, p: float, trials: int = 1000,
+def check_pmvi(u, sys: BallSystem, C: float, p: float, trials: int = 1000,
                seed: int = 0, samples_per_trial: int = 1024) -> MviCheckReport:
     """p-th power MVI with the closed-form constant from pmvi_constant."""
-    return _mvi_harness(f"pmvi[p={p:g}]", _power_values(u_plus, p), sys,
-                        pmvi_constant(C, sys, p), trials, seed, u_plus.domain,
+    return _mvi_harness(f"pmvi[p={p:g}]", _power_values(u, p), sys,
+                        pmvi_constant(C, sys, p), trials, seed, u.domain,
                         samples_per_trial)
 
 
-def check_concave_mvi(u_plus, sys: BallSystem, C: float, a: float,
+def check_concave_mvi(u, sys: BallSystem, C: float, a: float,
                       trials: int = 1000, seed: int = 0,
                       samples_per_trial: int = 1024) -> MviCheckReport:
     """MVI for the concave map phi(u_+) = u_+^a, a in (0, 1], with the
@@ -458,30 +458,30 @@ def check_concave_mvi(u_plus, sys: BallSystem, C: float, a: float,
     if not 0.0 < a <= 1.0:
         raise ValueError("a must lie in (0, 1]")
     c_phi = 2.0 ** (1.0 / a)
-    return _mvi_harness(f"concave[c_phi={c_phi:g}]", _power_values(u_plus, a),
+    return _mvi_harness(f"concave[c_phi={c_phi:g}]", _power_values(u, a),
                         sys, concave_mvi_constant(C, sys, c_phi), trials, seed,
-                        u_plus.domain, samples_per_trial)
+                        u.domain, samples_per_trial)
 
 
-def check_modified_heatball_mvi(u_plus, m: int, centers,
+def check_modified_heatball_mvi(u, m: int, centers,
                                 budget: int = 100_000, seed: int = 0,
                                 constant: float | None = None) -> MviCheckReport:
     """u_+(x, t) <= (M_{m,n}/R^{n+2}) int_{E_m(x,t;R)} u_+ + 3 SE at R = 1/2.
 
     centers is an (N, n + 1) batch; each center gets one trial, and each
-    E_m(center; R) must lie in u_plus's domain box.  constant overrides
+    E_m(center; R) must lie in u's domain box.  constant overrides
     M_{m,n} (used by the deliberately-failing sanity check).
     """
     from .constants import kappa_max
 
     R = 0.5
-    centers = _as_points(centers, u_plus.dim)
+    centers = _as_points(centers, u.dim)
     n = centers.shape[1] - 1
     M = kappa_max(m, n).closed_form if constant is None else float(constant)
-    base = _positive_values(u_plus)
+    base = _positive_values(u)
     scale = R ** (n + 2)
     res = [_heatball_mean(
-        u_plus, c, R, m,
+        u, c, R, m,
         lambda y, s, w: scale * base(_heatball_points(c, R, y, s)) * w,
         budget, seed + i) for i, c in enumerate(centers)]
     factor = M / R ** (n + 2)

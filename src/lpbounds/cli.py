@@ -331,7 +331,7 @@ def _cmd_deriv_check(cfg: dict, out_dir: str) -> int:
 
 def _cmd_mvi_check(cfg: dict, out_dir: str) -> int:
     from .geometry import Box, euclidean_system
-    from .fields import random_harmonic, random_caloric, positive_part
+    from .fields import random_harmonic, random_caloric
     from .averages import (check_mvi, check_pmvi, check_concave_mvi,
                            check_modified_heatball_mvi)
 
@@ -340,13 +340,13 @@ def _cmd_mvi_check(cfg: dict, out_dir: str) -> int:
     C = 1.0 / math.pi
     kind = cfg["kind"]
     if kind == "modified":
-        u = positive_part(random_caloric(cfg["seed"], n=1, domain=square))
+        u = random_caloric(cfg["seed"], n=1, domain=square)
         centers = [(0.3, 0.9), (0.5, 0.9), (0.7, 0.9)]
         rep = check_modified_heatball_mvi(u, cfg["m"], centers,
                                           budget=cfg["budget"],
                                           seed=cfg["seed"])
     else:
-        u = positive_part(random_harmonic(cfg["seed"], domain=square))
+        u = random_harmonic(cfg["seed"], domain=square)
         if kind == "plain":
             rep = check_mvi(u, sysE, C, trials=cfg["trials"],
                             seed=cfg["seed"],
@@ -423,7 +423,7 @@ def _cmd_pmeans(cfg: dict, out_dir: str) -> int:
         region = Box((0.0, 0.0), (1.0, 1.0))
         f = random_laplace_one(cfg["seed"], domain=region)
     reports = pmean_grid(f.fn, region, cfg["p_list"], budget=cfg["budget"],
-                         seed=cfg["seed"])
+                         seed=cfg["seed"], threads=cfg["threads"])
     rows = [[cfg["family"], cfg["k"], r.p, r.value, r.divergent, r.std_error,
              r.samples, r.method] for r in reports]
     path = os.path.join(out_dir, "pmeans.csv")

@@ -38,7 +38,6 @@ __all__ = [
     "heat_operator",
     "mixed_xy_operator",
     "neg_hessian_det",
-    "positive_part",
 ]
 
 
@@ -574,8 +573,3 @@ def neg_hessian_det(f: ScalarField, p) -> np.ndarray:
     """-det(Hess u) at an (N, d) batch; on the plane (u_xy)^2 - u_xx u_yy."""
     return -np.linalg.det(f.hess_fn(_as_points(p, f.dim)))
 
-
-def positive_part(f: ScalarField) -> ScalarField:
-    """max(f, 0); values only (the positive part is not C^2)."""
-    return ScalarField(f.dim, lambda pts: np.maximum(f.fn(pts), 0.0),
-                       domain=f.domain, name=f"({f.name})_+")

@@ -1,11 +1,14 @@
 """Monte Carlo and product-Gauss quadrature over membership-defined regions.
 
-mc_mean is the one Monte Carlo engine of the package: draws are split into
-fixed-size batches, each with its own SeedSequence substream, and batch
-statistics are merged in batch order, so results are identical for a given
-(seed, budget) regardless of thread count.  integrate and measure run it on
-uniform draws in the region's bounding box, rejected by membership; a Box
-region holds every draw and skips the test.
+_batches is the one Monte Carlo batch loop of the package: a budget is
+split into fixed-size batches, each drawn from its own SeedSequence
+substream, and the batch results come back in batch order, so every result
+is identical for a given (seed, budget) regardless of thread count.
+mc_mean merges per-batch moments.  integrate and measure take the same
+moments of uniform draws in the region's bounding box, rejected by
+membership; a Box region holds every draw and skips the test.  pmean_grid
+keeps |f| at the accepted draws of one pass and splits them into its
+doubling groups.  Every mean and standard error comes from _mean_se.
 QuadResult.ci and agreement hold the package's one 3-standard-error rule.
 """
 
@@ -82,27 +85,6 @@ def agreement(est, target, floor: float = 0.0) -> tuple[float, float]:
     return abs(est.value - target), max(3.0 * se, floor)
 
 
-def _batch_plan(budget: int) -> list[int]:
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    full, rem = divmod(budget, BATCH_SIZE)
-    return [BATCH_SIZE] * full + ([rem] if rem else [])
-
-
-def _merge_stats(parts: list[tuple[int, float, float]]) -> tuple[int, float, float]:
-    """Combine (count, mean, M2) batch statistics in list order."""
-    n, mean, m2 = 0, 0.0, 0.0
-    for nb, mb, m2b in parts:
-        if nb == 0:
-            continue
-        delta = mb - mean
-        tot = n + nb
-        mean += delta * nb / tot
-        m2 += m2b + delta * delta * n * nb / tot
-        n = tot
-    return n, mean, m2
-
-
 def _moments(vals: np.ndarray) -> tuple[int, float, float]:
     n = len(vals)
     if n == 0:
@@ -121,25 +103,48 @@ def _pool_map(fn, count: int, threads: int) -> list:
     return [fn(i) for i in range(count)]
 
 
+def _batches(fn, budget: int, seed: int, threads: int) -> list:
+    """[fn(rng, count) for each batch of the budget], in batch order.
+
+    The budget splits into BATCH_SIZE batches and a ragged last one; each
+    batch draws from its own SeedSequence(seed) substream, so the results
+    depend on (seed, budget) only, never on threads.
+    """
+    if budget <= 0:
+        raise ValueError("budget must be positive")
+    full, rem = divmod(budget, BATCH_SIZE)
+    plan = [BATCH_SIZE] * full + ([rem] if rem else [])
+    streams = np.random.SeedSequence(seed).spawn(len(plan))
+    return _pool_map(lambda i: fn(np.random.default_rng(streams[i]), plan[i]),
+                     len(plan), threads)
+
+
+def _mean_se(parts: list[tuple[int, float, float]]) -> tuple[int, float, float]:
+    """(count, mean, standard error of the mean) of (count, mean, M2)
+    _moments parts, merged in list order."""
+    n, mean, m2 = 0, 0.0, 0.0
+    for nb, mb, m2b in parts:
+        if nb == 0:
+            continue
+        delta = mb - mean
+        tot = n + nb
+        mean += delta * nb / tot
+        m2 += m2b + delta * delta * n * nb / tot
+        n = tot
+    var = m2 / (n - 1) if n > 1 else 0.0
+    return n, mean, math.sqrt(max(var, 0.0) / n)
+
+
 def mc_mean(draw, budget: int, seed: int, method: str,
             threads: int = 1) -> QuadResult:
     """Seeded Monte Carlo mean of per-sample values.
 
-    draw(rng, count) returns the values of one batch of count samples.
-    Each batch draws from its own SeedSequence substream and batch moments
-    are merged in batch order, so the result depends on (seed, budget)
-    only, never on threads.
+    draw(rng, count) returns the values of one batch of count samples;
+    batch moments are merged in batch order (see _batches).
     """
-    plan = _batch_plan(budget)
-    streams = np.random.SeedSequence(seed).spawn(len(plan))
-
-    def run_batch(i: int) -> tuple[int, float, float]:
-        rng = np.random.default_rng(streams[i])
-        return _moments(np.asarray(draw(rng, plan[i]), dtype=float))
-
-    n, mean, m2 = _merge_stats(_pool_map(run_batch, len(plan), threads))
-    var = m2 / (n - 1) if n > 1 else 0.0
-    se = math.sqrt(max(var, 0.0) / n)
+    n, mean, se = _mean_se(_batches(
+        lambda rng, count: _moments(np.asarray(draw(rng, count), dtype=float)),
+        budget, seed, threads))
     return QuadResult(value=mean, std_error=se, samples=n, method=method)
 
 
@@ -165,22 +170,22 @@ def _box_rejection_mean(region, values, budget: int, seed: int,
     0 elsewhere.  Raises EmptyRegionError if no draw is accepted."""
     box = region.bounding_box()
     boxvol = box.measure
-    hits = []
 
-    def draw(rng: np.random.Generator, count: int) -> np.ndarray:
+    def batch(rng: np.random.Generator, count: int):
         pts = box.sample(count, rng)
         member = _members(region, box, pts)
         inside = pts[member]
         vals = np.zeros(count)
         if len(inside):
-            hits.append(True)
             vals[member] = _finite(values(inside))
-        return vals * boxvol
+        return _moments(vals * boxvol), len(inside)
 
-    res = mc_mean(draw, budget, seed, "mc-rejection", threads)
-    if not hits:
+    parts = _batches(batch, budget, seed, threads)
+    if not any(hits for _, hits in parts):
         raise EmptyRegionError("no sample landed in the region")
-    return res
+    n, mean, se = _mean_se([moments for moments, _ in parts])
+    return QuadResult(value=mean, std_error=se, samples=n,
+                      method="mc-rejection")
 
 
 def integrate(f, region, budget: int = 100_000, seed: int = 0,
@@ -212,36 +217,14 @@ def measure(region, predicate=None, budget: int = 100_000, seed: int = 0,
         budget, seed, threads)
 
 
-def _accepted_values(f, region, counts: list[int], seed: int) -> list[np.ndarray]:
-    """|f| at accepted points, one array per requested group size."""
-    box = region.bounding_box()
-    fn = f.fn if hasattr(f, "fn") else f
-    groups = []
-    streams = np.random.SeedSequence(seed).spawn(len(counts))
-    for stream, want in zip(streams, counts):
-        rng = np.random.default_rng(stream)
-        chunks = []
-        left = want
-        while left > 0:
-            take = min(left, BATCH_SIZE)
-            pts = box.sample(take, rng)
-            inside = pts[_members(region, box, pts)]
-            if len(inside):
-                chunks.append(np.abs(_finite(
-                    np.asarray(fn(inside), dtype=float))))
-            left -= take
-        groups.append(np.concatenate(chunks) if chunks else np.empty(0))
-    return groups
-
-
 def _divergence_verdict(groups: list[np.ndarray], p: float) -> bool:
     """Doubling-budget divergence test for means of y = |f|^p, p < 0.
 
-    Batch means are compared after truncating at a median-scaled clamp that
-    grows proportionally with batch size: for integrable tails the clamp
+    Group means are compared after truncating at a median-scaled clamp that
+    grows proportionally with group size: for integrable tails the clamp
     bites a vanishing fraction and the truncated means agree within noise;
     for nonintegrable tails E[min(y, M)] keeps growing ~ log M and the
-    doubled batches drift upward by more than 3 combined standard errors.
+    doubled groups drift upward by more than 3 combined standard errors.
     """
     with np.errstate(divide="ignore"):
         ys = [np.where(g > 0, g, np.inf) ** p for g in groups]
@@ -252,57 +235,54 @@ def _divergence_verdict(groups: list[np.ndarray], p: float) -> bool:
         return True
     n1 = len(ys[0])
     clamp1 = med * max(0.005 * n1, 8.0)
-    stats = []
-    for y in ys:
-        m = clamp1 * (len(y) / n1)
-        v = np.minimum(y, m)
-        se = float(np.std(v, ddof=1) / math.sqrt(len(v))) if len(v) > 1 else 0.0
-        stats.append((float(np.mean(v)), se))
-    growth = stats[2][0] - stats[0][0]
-    band = 3.0 * math.hypot(stats[0][1], stats[2][1])
-    return growth > band
+    (_, mean1, se1), (_, mean3, se3) = (
+        _mean_se([_moments(np.minimum(y, clamp1 * (len(y) / n1)))])
+        for y in (ys[0], ys[2]))
+    return mean3 - mean1 > 3.0 * math.hypot(se1, se3)
 
 
-def pmean(f, region, p: float, budget: int = 100_000, seed: int = 0) -> PMeanReport:
+def pmean(f, region, p: float, budget: int = 100_000, seed: int = 0,
+          threads: int = 1) -> PMeanReport:
     """Normalized p-th mean (avg |f|^p)^{1/p} with divergence detection.
 
     p = 0 is the geometric mean (log-mean clamped at -700; a clamp present
-    in every doubling batch reports exactly 0).  p < 0 runs the truncated
+    in every doubling group reports exactly 0).  p < 0 runs the truncated
     doubling test and reports value 0 with divergent=True when the sample
     mean of |f|^p keeps growing.  p = +-inf are sampled sup/inf of |f|.
     A NaN or infinite value of f at an accepted point raises ValueError.
     """
-    return pmean_grid(f, region, [p], budget, seed)[0]
+    return pmean_grid(f, region, [p], budget, seed, threads)[0]
 
 
-def _pmean_from_groups(groups: list[np.ndarray], p: float,
-                       total: int) -> PMeanReport:
-    y = np.concatenate(groups)
+def _pmean_of(y: np.ndarray, p: float) -> PMeanReport:
+    """The p-mean report of the accepted values y = |f|, in draw order.
+
+    Its doubling groups are the first floor(T/7), the next 2 floor(T/7) and
+    the remaining values of the T in y.
+    """
+    total = len(y)
+    cuts = [total // 7, 3 * (total // 7)]
     if math.isinf(p):
         val = float(np.max(y)) if p > 0 else float(np.min(y))
         return PMeanReport(p=p, value=val, divergent=False, std_error=0.0,
                            samples=total, method="mc-extreme")
     if p == 0.0:
         with np.errstate(divide="ignore"):
-            logs = [np.maximum(np.log(np.where(g > 0, g, 0.0)), LOG_CLAMP)
-                    for g in groups]
-        if all(np.any(lg <= LOG_CLAMP) for lg in logs):
+            logs = np.maximum(np.log(np.where(y > 0, y, 0.0)), LOG_CLAMP)
+        if all(np.any(g <= LOG_CLAMP) for g in np.split(logs, cuts)):
             return PMeanReport(p=0.0, value=0.0, divergent=False, std_error=0.0,
                                samples=total, method="mc-log-clamp")
-        alllogs = np.concatenate(logs)
-        mean = float(np.mean(alllogs))
-        se = float(np.std(alllogs, ddof=1) / math.sqrt(len(alllogs)))
+        _, mean, se = _mean_se([_moments(logs)])
         val = math.exp(mean)
         return PMeanReport(p=0.0, value=val, divergent=False,
                            std_error=val * se, samples=total,
                            method="mc-log-clamp")
-    if p < 0.0 and _divergence_verdict(groups, p):
+    if p < 0.0 and _divergence_verdict(np.split(y, cuts), p):
         return PMeanReport(p=p, value=0.0, divergent=True, std_error=0.0,
                            samples=total, method="mc-truncated-doubling")
     with np.errstate(divide="ignore"):
         yp = np.where(y > 0, y, np.inf) ** p if p < 0 else y**p
-    mean = float(np.mean(yp))
-    se = float(np.std(yp, ddof=1) / math.sqrt(len(yp))) if len(yp) > 1 else 0.0
+    _, mean, se = _mean_se([_moments(yp)])
     if mean <= 0.0:
         value = 0.0
         vse = 0.0
@@ -315,22 +295,31 @@ def _pmean_from_groups(groups: list[np.ndarray], p: float,
                        samples=total, method=method)
 
 
-def pmean_grid(f, region, ps, budget: int = 100_000,
-               seed: int = 0) -> list[PMeanReport]:
+def pmean_grid(f, region, ps, budget: int = 100_000, seed: int = 0,
+               threads: int = 1) -> list[PMeanReport]:
     """p-means over a grid of exponents sharing one sample set.
 
-    Shared samples make the discrete power-mean monotonicity exact: the
-    reported values are nondecreasing in p (divergent entries report 0).
+    One _batches pass draws the budget in the region's bounding box and
+    keeps |f| at the accepted draws, in batch order.  Shared samples make
+    the discrete power-mean monotonicity exact: the reported values are
+    nondecreasing in p (divergent entries report 0).
     """
     if budget < 1000:
         raise ValueError("budget too small for a p-mean (need >= 1000)")
-    n1 = budget // 7
-    counts = [n1, 2 * n1, budget - 3 * n1]
-    groups = _accepted_values(f, region, counts, seed)
-    total = int(sum(len(g) for g in groups))
-    if total == 0:
+    box = region.bounding_box()
+    fn = f.fn if hasattr(f, "fn") else f
+
+    def accepted(rng: np.random.Generator, count: int) -> np.ndarray:
+        pts = box.sample(count, rng)
+        inside = pts[_members(region, box, pts)]
+        if not len(inside):
+            return np.empty(0)
+        return np.abs(_finite(np.asarray(fn(inside), dtype=float)))
+
+    y = np.concatenate(_batches(accepted, budget, seed, threads))
+    if not len(y):
         raise EmptyRegionError("no sample landed in the region")
-    return [_pmean_from_groups(groups, float(p), total) for p in ps]
+    return [_pmean_of(y, float(p)) for p in ps]
 
 
 def box_gauss(f, box) -> QuadResult:

@@ -37,7 +37,6 @@ from .fields import (
     random_heat_one,
     random_harmonic,
     random_caloric,
-    positive_part,
     laplacian_operator,
     mixed_xy_operator,
 )
@@ -383,11 +382,11 @@ def _suite_mvi_family(cfg, seed):
     v2 = math.pi
     sampling = {"trials": cfg["trials"], "samples_per_trial": cfg["samples"]}
 
-    def harmonic_plus(sid):
-        return positive_part(random_harmonic(seed(sid), domain=square))
+    def harmonic(sid):
+        return random_harmonic(seed(sid), domain=square)
 
     sid = "mvi/plain-harmonic"
-    rep = check_mvi(harmonic_plus(sid), sysE, 1.0 / v2, seed=seed(sid),
+    rep = check_mvi(harmonic(sid), sysE, 1.0 / v2, seed=seed(sid),
                     **sampling)
     yield sid, rep.violations == 0, rep.worst_margin
 
@@ -398,7 +397,7 @@ def _suite_mvi_family(cfg, seed):
 
     for p in cfg["p_list"]:
         sid = f"mvi/power[p={p:g}]"
-        rep = check_pmvi(harmonic_plus(sid), sysE, 1.0 / v2, p,
+        rep = check_pmvi(harmonic(sid), sysE, 1.0 / v2, p,
                          seed=seed(sid), **sampling)
         yield sid, rep.violations == 0, rep.worst_margin
 
@@ -427,7 +426,7 @@ def _suite_mvi_family(cfg, seed):
 
     for label, a in (("sqrt", 0.5), ("identity", 1.0), ("t^0.75", 0.75)):
         sid = f"mvi/concave[{label}]"
-        rep = check_concave_mvi(harmonic_plus(sid), sysE, 1.0 / v2, a,
+        rep = check_concave_mvi(harmonic(sid), sysE, 1.0 / v2, a,
                                 seed=seed(sid), **sampling)
         yield sid, rep.violations == 0, rep.worst_margin
 
@@ -439,7 +438,7 @@ def _suite_mvi_family(cfg, seed):
     yield sid, *_agree(res, 1.0, 1e-9)
 
     sid = "mvi/modified-caloric"
-    w = positive_part(random_caloric(seed(sid), n=1, domain=square))
+    w = random_caloric(seed(sid), n=1, domain=square)
     rep = check_modified_heatball_mvi(w, 3, centers, budget=budget,
                                       seed=seed(sid))
     yield sid, rep.violations == 0, rep.worst_margin
@@ -654,12 +653,14 @@ def _suite_pmeans(cfg, seed):
     budget = max(cfg["budget"], 7000)
 
     def interval_pmean(fn, p, sid):
-        return pmean(fn, interval, p, budget=budget, seed=seed(sid))
+        return pmean(fn, interval, p, budget=budget, seed=seed(sid),
+                     threads=cfg["threads"])
 
     sid = "pmeans/grid-monotone"
     u = random_laplace_one(seed(sid), domain=square)
     ps = [-0.5, 0.0, 0.5, 1.0, 2.0, math.inf]
-    reports = pmean_grid(u.fn, square, ps, budget=budget, seed=seed(sid))
+    reports = pmean_grid(u.fn, square, ps, budget=budget, seed=seed(sid),
+                         threads=cfg["threads"])
     vals = [r.value for r in reports]
     mono = all(vals[i] <= vals[i + 1] + 1e-12 for i in range(len(vals) - 1))
     yield sid, mono, min(vals[i + 1] - vals[i] for i in range(len(vals) - 1))

@@ -25,10 +25,9 @@ from lpbounds.fields import (
     heat_operator,
     mixed_xy_operator,
     neg_hessian_det,
-    positive_part,
 )
 from lpbounds.fields import _log_kernel_derivs
-from lpbounds.averages import deriv1_rhs, deriv2_rhs
+from lpbounds.averages import _positive_values, deriv1_rhs, deriv2_rhs
 
 RNG = np.random.default_rng(0)
 
@@ -223,10 +222,10 @@ def test_field_sum_and_positive_part():
     s = field_sum([a, b], [2.0, -1.0])
     assert _at(s, 1.0, 1.0) == pytest.approx(1.0)
     assert s.grad_fn(np.array([[0.3, 0.4]]))[0] == pytest.approx([2.0, -1.0])
-    pp = positive_part(field_sum([a], [-1.0]))
-    assert _at(pp, 0.5, 0.0) == 0.0
-    assert _at(pp, -0.5, 0.0) == pytest.approx(0.5)
-    assert pp.grad_fn is None and pp.hess_fn is None
+    # the MVI checkers' one clamp is the positive part
+    pp = _positive_values(field_sum([a], [-1.0]))
+    assert pp(np.array([[0.5, 0.0]]))[0] == 0.0
+    assert pp(np.array([[-0.5, 0.0]]))[0] == pytest.approx(0.5)
 
 
 def test_monomial_domain():
@@ -253,8 +252,8 @@ def test_harmonic_pair_laplacian_property(k, scale):
 
 
 def test_scalar_field_missing_derivative():
-    # the positive part carries values only; every operator image refuses it
-    pp = positive_part(random_harmonic(1))
+    # a values-only field: every operator image refuses it
+    pp = ScalarField(2, random_harmonic(1).fn)
     with pytest.raises(ValueError, match="hess_fn.*laplace-2"):
         laplacian_operator(2).apply(pp, [[0.5, 0.5]])
     with pytest.raises(ValueError, match="grad_fn.*heat-1"):

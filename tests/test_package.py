@@ -70,10 +70,13 @@ def test_no_public_parameter_is_a_fixed_knob():
     # a default that no call in the package sets, or when every call in the
     # package passes it the same literal (at least two calls).
     # partial(f, *a, **kw) counts as a call of f with those arguments.
-    # Functions otherwise used as values (aliased, stored) are skipped,
-    # since their calls cannot be traced by name; a name counts as such a
-    # use only in a module that imports or defines it, so a local variable
-    # of the same name elsewhere does not hide the function.
+    # Calls of a function otherwise used as a value (aliased, stored)
+    # cannot be traced by name, so for it only the first rule applies: a
+    # defaulted parameter is never set when no call in the package passes
+    # it by keyword, under any name, nor by position in a direct call.  A
+    # name counts as such a use only in a module that imports or defines
+    # it, so a local variable of the same name elsewhere does not hide the
+    # function.
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(SRC.glob("*.py"))
              if path.name != "__init__.py"}
@@ -85,11 +88,13 @@ def test_no_public_parameter_is_a_fixed_knob():
                 defs[node.name] = (module, node)
     calls = {name: [] for name in defs}
     as_value = set()
+    keywords = set()
     for tree in trees.values():
         callees = set()
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
+            keywords |= {kw.arg for kw in node.keywords}
             func, args = node.func, node.args
             if (isinstance(func, ast.Name) and func.id == "partial" and args
                     and isinstance(args[0], ast.Name)):
@@ -105,8 +110,6 @@ def test_no_public_parameter_is_a_fixed_knob():
                      and id(node) not in callees}
     knobs = []
     for name, (module, fn) in defs.items():
-        if name in as_value:
-            continue
         args = fn.args
         params = [a.arg for a in args.posonlyargs + args.args]
         defaulted = set(params[len(params) - len(args.defaults):])
@@ -119,9 +122,11 @@ def test_no_public_parameter_is_a_fixed_knob():
             passed = [b[param] for b in bound if param in b]
             literals = [node.value for node in passed
                         if isinstance(node, ast.Constant)]
-            if param in defaulted and not passed:
+            traced = name not in as_value
+            if (param in defaulted and not passed
+                    and (traced or param not in keywords)):
                 knobs.append(f"{module}.{name}:{param} (never set)")
-            elif (len(literals) == len(calls[name]) >= 2
+            elif (traced and len(literals) == len(calls[name]) >= 2
                   and len({repr(v) for v in literals}) == 1):
                 knobs.append(f"{module}.{name}:{param} (always "
                              f"{literals[0]!r})")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lpbounds import quadrature
 from lpbounds.geometry import Box, EuclideanBall
 from lpbounds.fields import monomial_field, polynomial_field, ScalarField
 from lpbounds.quadrature import (
@@ -81,6 +82,52 @@ def test_box_region_skips_membership_with_the_same_bits(threads):
                                  budget=150_001, seed=5)]
     for run in runs:
         assert run(box) == run(_BoxView(box))
+
+
+def test_pmean_grid_splits_one_pass_into_doubling_groups(monkeypatch):
+    # over one batch, threads 1 and 2 give equal reports on a Box and on a
+    # view of it that tests membership; the doubling groups are the first
+    # T // 7, the next 2 (T // 7) and the remaining T accepted values
+    real = quadrature._divergence_verdict
+    sizes = []
+
+    def recording(groups, p):
+        sizes.append([len(g) for g in groups])
+        return real(groups, p)
+
+    monkeypatch.setattr(quadrature, "_divergence_verdict", recording)
+    box = Box((0.0, -1.0), (2.0, 0.5))
+    f = polynomial_field({(2, 1): 1.0, (0, 0): 0.5})
+    for region in (box, _BoxView(box)):
+        sizes.clear()
+        reps = [pmean_grid(f, region, [-0.5, 0.0, 1.0], budget=150_001,
+                           seed=5, threads=threads) for threads in (1, 2)]
+        assert reps[0] == reps[1]
+        total = reps[0][0].samples
+        n1 = total // 7
+        assert total == 150_001
+        assert sizes == [[n1, 2 * n1, total - 3 * n1]] * 2
+
+
+class _FullBatchesOnly(_BoxView):
+    """A view of box that accepts draws of full batches only, so a ragged
+    last batch has no accepted draw."""
+
+    def contains(self, pts):
+        return super().contains(pts) & (len(pts) == quadrature.BATCH_SIZE)
+
+
+def test_pmean_grid_batch_without_accepted_draw_evaluates_nothing():
+    sizes = []
+
+    def fn(pts):
+        sizes.append(len(pts))
+        return pts[:, 0] + 1.0
+
+    rep, = pmean_grid(fn, _FullBatchesOnly(SQUARE), [1.0],
+                      budget=quadrature.BATCH_SIZE + 1000, seed=0)
+    assert sizes == [quadrature.BATCH_SIZE]
+    assert rep.samples == quadrature.BATCH_SIZE
 
 
 def test_integrate_rejects_to_ball_volume():

@@ -300,15 +300,16 @@ SINGLE_THREADED_SUITES = ("deriv-formulas", "mvi-family", "claims")
 def test_multi_batch_monte_carlo_runs_on_the_config_threads(monkeypatch):
     assert (set(THREADED_SUITES) | set(SINGLE_THREADED_SUITES)
             == set(SUITE_NAMES))
-    real = quadrature.mc_mean
+    # every Monte Carlo mean (mc_mean, integrate, measure, pmean and
+    # pmean_grid) runs its batches through quadrature._batches
+    real = quadrature._batches
     calls = []
 
-    def recording(draw, budget, seed, method, threads=1):
+    def recording(fn, budget, seed, threads):
         calls.append((budget, threads))
-        return real(draw, budget, seed, method, threads)
+        return real(fn, budget, seed, threads)
 
-    monkeypatch.setattr(quadrature, "mc_mean", recording)
-    monkeypatch.setattr(averages, "mc_mean", recording)
+    monkeypatch.setattr(quadrature, "_batches", recording)
     budget = quadrature.BATCH_SIZE + 1000
     for name in THREADED_SUITES:
         rows = {}
