@@ -7,7 +7,8 @@ its derivative equals (n/r^{n+1}) int_{E(r)} Hu log(r^n Phi_n).  Both
 derivative identities are evaluated by Monte Carlo in scale-free unit
 coordinates, through one sampler per family: _ball_mean draws the unit
 ball and _heatball_mean the unit heat-ball slices.  Each checks the radius
-and that the region fits in the field's domain, then runs mc_mean once.
+and that the region fits in the field's domain, then runs mc_mean once,
+evaluating each drawn batch in quadrature.EVAL_BLOCK-row sub-blocks.
 _fd turns a per-sample term into the centered difference quotient in the
 radius; both radii share each sample (common random numbers), so the
 quotient carries an honest per-sample error.
@@ -37,8 +38,9 @@ from .geometry import (
     unit_ball_points,
     unit_ball_volume,
 )
+from . import quadrature
 from .fields import heat_operator, laplacian_operator
-from .quadrature import BATCH_SIZE, QuadResult, mc_mean
+from .quadrature import QuadResult, _blockwise, mc_mean
 
 __all__ = [
     "SMAX",
@@ -87,8 +89,9 @@ def _ball_mean(u, x: np.ndarray, reach: float, value, budget: int,
         raise ValueError("radius must be positive")
     _require_inside(u, Box(tuple(x - reach), tuple(x + reach)), "ball")
     d = len(x)
-    return mc_mean(lambda rng, count: value(unit_ball_points(d, count, rng)),
-                   budget, seed, method)
+    return mc_mean(
+        lambda rng, count: _blockwise(value, unit_ball_points(d, count, rng)),
+        budget, seed, method)
 
 
 def _heatball_mean(u, center: np.ndarray, reach: float, m: int, value,
@@ -106,9 +109,10 @@ def _heatball_mean(u, center: np.ndarray, reach: float, m: int, value,
     _require_inside(u, Heatball(tuple(center), reach, m).bounding_box(),
                     "heat ball")
     n = len(center) - 1
-    return mc_mean(lambda rng, count: value(*_slice_samples(n, m + n, count,
-                                                            rng)),
-                   budget, seed, method, threads)
+    return mc_mean(
+        lambda rng, count: _blockwise(value,
+                                      *_slice_samples(n, m + n, count, rng)),
+        budget, seed, method, threads)
 
 
 def _fd(term, r: float, h: float):
@@ -372,9 +376,9 @@ def _mvi_harness(kind: str, values_of, sys: BallSystem, constant: float,
     scales = r[:, None] ** lam[None, :]
     means = np.empty(trials)
     ses = np.empty(trials)
-    # one BATCH_SIZE-point block of trials at a time; every trial reduces
+    # one EVAL_BLOCK-point block of trials at a time; every trial reduces
     # along its own row, so the block size changes no bit of the report
-    chunk = max(1, BATCH_SIZE // samples)
+    chunk = max(1, quadrature.EVAL_BLOCK // samples)
     # every block reuses one buffer: a fresh one per block can be returned
     # to the OS and faulted in again each time, depending on heap layout
     buf = np.empty((min(chunk, trials), samples, sys.dim))

@@ -28,7 +28,8 @@ from .fields import (
     laplacian_operator,
     neg_hessian_det,
 )
-from .quadrature import BATCH_SIZE, _pool_map, integrate
+from . import quadrature
+from .quadrature import _pool_map, integrate
 
 __all__ = [
     "CombSet",
@@ -297,10 +298,10 @@ def hessian_family_check(N: float, c: float, threads: int = 1) -> dict:
     below 1.
 
     sup_grid is max |u_N| over a 128 x ny grid, ny = min(max(1024, 32 N),
-    65536), scanned in blocks of whole x-rows of at most BATCH_SIZE points
-    (on a pool of threads workers), so memory does not grow with N.  Block
-    maxima are folded with np.max, so a NaN anywhere on the grid reaches
-    sup_grid.
+    65536), scanned in blocks of whole x-rows, as many as fit in EVAL_BLOCK
+    points and at least one (on a pool of threads workers), so memory does
+    not grow with N.  Block maxima are folded with np.max, so a NaN
+    anywhere on the grid reaches sup_grid.
     """
     if N < 1 or c <= 0:
         raise ValueError("need N >= 1 and c > 0")
@@ -315,7 +316,7 @@ def hessian_family_check(N: float, c: float, threads: int = 1) -> dict:
     ny = int(min(max(1024, 32 * N), 65536))
     ys = np.linspace(0.0, 1.0, ny)
     xs = np.linspace(0.0, 1.0, 128)
-    rows = max(1, BATCH_SIZE // ny)
+    rows = max(1, quadrature.EVAL_BLOCK // ny)
 
     def block_max(i: int) -> float:
         block = _lattice([xs[i * rows:(i + 1) * rows], ys])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpbounds import averages
+from lpbounds import quadrature
 from lpbounds.geometry import (
     BallSystem,
     Box,
@@ -316,17 +316,26 @@ _HARNESS_CHECKS = {
 def test_mvi_harness_block_size_invariant(name, monkeypatch):
     # each trial's mean and SE reduce one row at a time, so the number of
     # trials evaluated per block must not change a bit of the report.  The
-    # field is positive, so no margin ties at 0, and at seed 0 the worst
-    # trial (125 or 132) lies in the last, ragged block of every block size
-    u = ScalarField(2, lambda pts: 3.0 + pts[:, 0] ** 2 - pts[:, 1] ** 2,
-                    domain=Box((-1.0, -1.0), (1.0, 1.0)))
+    # field is positive, so no margin ties at 0
+    calls = []
+
+    def fn(pts):
+        calls[-1] += 1
+        return 3.0 + pts[:, 0] ** 2 - pts[:, 1] ** 2
+
+    u = ScalarField(2, fn, domain=Box((-1.0, -1.0), (1.0, 1.0)))
     run = _HARNESS_CHECKS[name]
     reports = []
-    # at 1,024 samples a trial the old 4M-point block holds all 150 trials;
-    # 65,536 points (64 trials) and 7 trials a block leave ragged tails
-    for block in (4 << 20, averages.BATCH_SIZE, 7 * 1024):
-        monkeypatch.setattr(averages, "BATCH_SIZE", block)
+    # at 1,024 samples a trial a 4M-point block holds all 150 trials;
+    # 65,536 points (64 trials), EVAL_BLOCK (8 trials) and 7 trials a
+    # block leave ragged tails
+    blocks = (4 << 20, 65_536, quadrature.EVAL_BLOCK, 7 * 1024)
+    for block in blocks:
+        monkeypatch.setattr(quadrature, "EVAL_BLOCK", block)
+        calls.append(0)
         reports.append(run(u, 0.99 / math.pi))
+    # the block size reached the harness: each gives its own call count
+    assert len(set(calls)) == len(blocks)
     ref = dataclasses.astuple(reports[0])
     for rep in reports[1:]:
         assert dataclasses.astuple(rep) == ref

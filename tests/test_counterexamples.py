@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from lpbounds import counterexamples
 from lpbounds.geometry import Box
-from lpbounds.quadrature import BATCH_SIZE
+from lpbounds.quadrature import EVAL_BLOCK
 from lpbounds.fields import laplacian_operator, monomial_field
 from lpbounds.counterexamples import (
     assemble_ccw_witness,
@@ -186,7 +186,9 @@ def test_hessian_family_bits_pinned(N):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_hessian_family_scans_whole_rows_in_bounded_blocks(monkeypatch,
                                                           threads):
-    # at N = 1000 the 128 x 32,000 sup grid is scanned two x-rows at a time
+    # a block holds as many whole x-rows as fit in EVAL_BLOCK points, and
+    # at least one: at N = 10 the 128 x 1,024 sup grid is scanned eight
+    # x-rows at a time, at N = 1000 the 128 x 32,000 grid one row at a time
     real = counterexamples.ccw_hessian_field
     sizes = []
 
@@ -201,10 +203,12 @@ def test_hessian_family_scans_whole_rows_in_bounded_blocks(monkeypatch,
         return dataclasses.replace(u, fn=fn_rec)
 
     monkeypatch.setattr(counterexamples, "ccw_hessian_field", recording)
-    out = hessian_family_check(1000, 0.1, threads=threads)
-    assert sorted(sizes) == [64_000] * 64
-    assert 64_000 <= BATCH_SIZE
-    assert out["sup_grid"] == float.fromhex(_HESSIAN_FAMILY_BITS[1000][2])
+    assert EVAL_BLOCK == 8 * 1024 < 32_000
+    for N, blocks in ((10, [8 * 1024] * 16), (1000, [32_000] * 128)):
+        sizes.clear()
+        out = hessian_family_check(N, 0.1, threads=threads)
+        assert sorted(sizes) == blocks
+        assert out["sup_grid"] == float.fromhex(_HESSIAN_FAMILY_BITS[N][2])
 
 
 def test_lift_check_product_bound():

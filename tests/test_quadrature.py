@@ -5,8 +5,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lpbounds import quadrature
+from lpbounds.averages import (
+    ball_average,
+    deriv1_rhs,
+    deriv2_rhs,
+    heatball_average,
+    modified_heatball_average,
+)
+from lpbounds.counterexamples import hessian_family_check
 from lpbounds.geometry import Box, EuclideanBall
-from lpbounds.fields import monomial_field, polynomial_field, ScalarField
+from lpbounds.fields import (
+    ScalarField,
+    monomial_field,
+    polynomial_field,
+    random_caloric,
+    random_laplace_one,
+)
 from lpbounds.quadrature import (
     EmptyRegionError,
     PMeanReport,
@@ -126,7 +140,9 @@ def test_pmean_grid_batch_without_accepted_draw_evaluates_nothing():
 
     rep, = pmean_grid(fn, _FullBatchesOnly(SQUARE), [1.0],
                       budget=quadrature.BATCH_SIZE + 1000, seed=0)
-    assert sizes == [quadrature.BATCH_SIZE]
+    # the full batch is evaluated in sub-blocks; the ragged one not at all
+    assert sum(sizes) == quadrature.BATCH_SIZE
+    assert max(sizes) <= quadrature.EVAL_BLOCK
     assert rep.samples == quadrature.BATCH_SIZE
 
 
@@ -329,3 +345,77 @@ def test_integrate_seed_property(seed):
     a = integrate(XY, SQUARE, budget=2000, seed=seed)
     b = integrate(XY, SQUARE, budget=2000, seed=seed)
     assert a.value == b.value
+
+
+def _third_call_nonfinite(bad):
+    """Field on SQUARE that is finite except at one point of its third
+    call, a later sub-block of the first batch."""
+    calls = []
+
+    def fn(pts):
+        calls.append(len(pts))
+        vals = pts[:, 0] + 1.0
+        if len(calls) == 3:
+            vals[-1] = bad
+        return vals
+
+    return ScalarField(2, fn, domain=SQUARE, name="late-nonfinite")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("region", [SQUARE, _BoxView(SQUARE)],
+                         ids=["box", "view"])
+def test_nonfinite_value_in_a_later_sub_block_raises(bad, region):
+    # every sub-block is checked, not only the first of a batch
+    assert 3 * quadrature.EVAL_BLOCK <= quadrature.BATCH_SIZE
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        integrate(_third_call_nonfinite(bad), region, budget=70_000)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        pmean_grid(_third_call_nonfinite(bad), region, [0.5], budget=70_000)
+
+
+_POLY = polynomial_field({(2, 1): 1.0, (0, 0): 0.5})
+_LAP = random_laplace_one(0)
+_CAL = random_caloric(0)
+_TWO_BATCHES = quadrature.BATCH_SIZE + 4_465  # one full, one ragged
+
+_EVAL_BLOCK_RUNS = {
+    "integrate[box]": lambda: integrate(_POLY, SQUARE, _TWO_BATCHES, 1),
+    "integrate[view]": lambda: integrate(_POLY, _BoxView(SQUARE),
+                                         _TWO_BATCHES, 1),
+    "measure[predicate]": lambda: measure(
+        SQUARE, lambda p: p[:, 0] > p[:, 1] ** 2, _TWO_BATCHES, 2),
+    "pmean_grid": lambda: pmean_grid(_POLY, SQUARE, [-0.5, 0.0, 0.5, math.inf],
+                                     _TWO_BATCHES, 3),
+    "ball_average": lambda: ball_average(_LAP, (0.5, 0.5), 0.3,
+                                         _TWO_BATCHES, 4),
+    "deriv1_rhs": lambda: deriv1_rhs(_LAP, (0.5, 0.5), 0.3, _TWO_BATCHES, 4),
+    "heatball_average": lambda: heatball_average(_CAL, (0.5, 0.9), 0.3,
+                                                 _TWO_BATCHES, 5),
+    "deriv2_rhs": lambda: deriv2_rhs(_CAL, (0.5, 0.9), 0.3, _TWO_BATCHES, 5),
+    "modified_heatball_average": lambda: modified_heatball_average(
+        _CAL, (0.5, 0.9), 0.3, 3, _TWO_BATCHES, 6),
+    "hessian_family_check": lambda: hessian_family_check(10, 0.1),
+}
+
+
+def _bits(result):
+    """Hex of every value and standard error in result."""
+    if isinstance(result, dict):
+        return result["sup_grid"].hex()
+    if isinstance(result, list):
+        return [_bits(r) for r in result]
+    return result.value.hex(), result.std_error.hex(), result.samples
+
+
+@pytest.mark.parametrize("name", list(_EVAL_BLOCK_RUNS))
+def test_eval_block_changes_no_bit(name, monkeypatch):
+    # every row is evaluated on its own, so the sub-block size must not
+    # move a bit: one block per batch, the default, and a ragged 7 * 1024
+    run = _EVAL_BLOCK_RUNS[name]
+    bits = []
+    for block in (quadrature.BATCH_SIZE, quadrature.EVAL_BLOCK, 7 * 1024):
+        monkeypatch.setattr(quadrature, "EVAL_BLOCK", block)
+        bits.append(_bits(run()))
+    assert bits[1] == bits[0]
+    assert bits[2] == bits[0]

@@ -17,12 +17,12 @@ Standard output and the exit code of each run are saved next to the files
 the run wrote.  Budgets exceed one 65,536 sample batch, so batch merging
 and the threaded quadrature path both run; the heat deriv-check runs have
 six cases over three field kinds, so at --threads 2 their fd and rhs
-columns run side by side.  The MVI harness evaluates 65 trials of 1,000
-samples per 65,536-point block, so the mvi-check runs at 300 trials take
-four full blocks and a ragged fifth of 40 trials.  They run at --seed 2,
-where the plain kind's worst margin is a live trial margin rather than a
-tie at 0.0, so a harness whose results depend on the block size changes
-that row.  The two extra concave runs pin the map from each --phi name to
+columns run side by side.  The MVI harness evaluates 8 trials of 1,000
+samples per 8,192-point block (EVAL_BLOCK), so the mvi-check runs at 300
+trials take 37 full blocks and a ragged last one of 4 trials.  They run at
+--seed 2, where the plain kind's worst margin is a live trial margin
+rather than a tie at 0.0, so a harness whose results depend on the block
+size changes that row.  The two extra concave runs pin the map from each --phi name to
 its exponent and so to c_phi, through their kind and constant columns.
 The modified kind's seed-0 row ties at a worst margin of 0.0,
 so it cannot see a changed heat-ball integral; at --seed 3 the worst
