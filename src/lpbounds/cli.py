@@ -204,6 +204,8 @@ def _resolve(args: argparse.Namespace) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             resolved[key] = val
+    if int(resolved["threads"]) < 1:
+        raise UsageError("--threads must be at least 1")
     for key in ("ns", "ms"):
         if key in resolved:
             resolved[key] = _int_list(resolved[key]) \
@@ -233,10 +235,11 @@ def _persist(resolved: dict, out_dir: str) -> None:
 
 def _cmd_constants(cfg: dict, out_dir: str) -> int:
     from .constants import constants_table
+    from .quadrature import _workers
 
-    rows = constants_table(ns=tuple(cfg["ns"]), ms=tuple(cfg["ms"]),
-                           budget=cfg["budget"], seed=cfg["seed"],
-                           threads=cfg["threads"])
+    with _workers(cfg["threads"]):
+        rows = constants_table(ns=tuple(cfg["ns"]), ms=tuple(cfg["ms"]),
+                               budget=cfg["budget"], seed=cfg["seed"])
     table = [[r.name, r.closed_form,
               "" if r.cross_check is None else r.cross_check,
               "" if r.rel_gap is None else r.rel_gap,
@@ -373,6 +376,7 @@ def _cmd_mvi_check(cfg: dict, out_dir: str) -> int:
 
 def _cmd_counterexample(cfg: dict, out_dir: str) -> int:
     from .counterexamples import assemble_ccw_witness
+    from .quadrature import _workers
 
     if cfg["construction"] != "ccw":
         raise UsageError(f"unknown construction {cfg['construction']!r}")
@@ -380,10 +384,10 @@ def _cmd_counterexample(cfg: dict, out_dir: str) -> int:
         delta = Fraction(cfg["delta"])
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad delta {cfg['delta']!r}: {exc}")
-    wit = assemble_ccw_witness(delta, degree=cfg["degree"],
-                               samples_per_rect=cfg["samples_per_rect"],
-                               seed=cfg["seed"], budget=cfg["budget"],
-                               threads=cfg["threads"])
+    with _workers(cfg["threads"]):
+        wit = assemble_ccw_witness(delta, degree=cfg["degree"],
+                                   samples_per_rect=cfg["samples_per_rect"],
+                                   seed=cfg["seed"], budget=cfg["budget"])
     ok = wit["passed"]
     comb = wit["comb"]
     rows = [[str(comb.delta), wit["degree"], comb.count, comb.measure,
@@ -414,7 +418,7 @@ def _cmd_counterexample(cfg: dict, out_dir: str) -> int:
 def _cmd_pmeans(cfg: dict, out_dir: str) -> int:
     from .geometry import Box
     from .fields import monomial_field, random_laplace_one
-    from .quadrature import pmean_grid
+    from .quadrature import _workers, pmean_grid
 
     if cfg["family"] == "monomial":
         f = monomial_field(cfg["k"])
@@ -422,8 +426,9 @@ def _cmd_pmeans(cfg: dict, out_dir: str) -> int:
     else:
         region = Box((0.0, 0.0), (1.0, 1.0))
         f = random_laplace_one(cfg["seed"], domain=region)
-    reports = pmean_grid(f.fn, region, cfg["p_list"], budget=cfg["budget"],
-                         seed=cfg["seed"], threads=cfg["threads"])
+    with _workers(cfg["threads"]):
+        reports = pmean_grid(f.fn, region, cfg["p_list"],
+                             budget=cfg["budget"], seed=cfg["seed"])
     rows = [[cfg["family"], cfg["k"], r.p, r.value, r.divergent, r.std_error,
              r.samples, r.method] for r in reports]
     path = os.path.join(out_dir, "pmeans.csv")

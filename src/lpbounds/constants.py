@@ -109,10 +109,9 @@ def k_heat_value(n: int) -> float:
     return (n * n / 2.0) * heatball_unit_volume_exact(n) * math.exp(-(n + 2.0))
 
 
-def k_heat(n: int, budget: int = 200_000, seed: int = 0,
-           threads: int = 1) -> ConstantReport:
+def k_heat(n: int, budget: int = 200_000, seed: int = 0) -> ConstantReport:
     closed = k_heat_value(n)
-    vol = heatball_unit_volume(n, budget=budget, seed=seed, threads=threads)
+    vol = heatball_unit_volume(n, budget=budget, seed=seed)
     cross = (n * n / 2.0) * vol.value * math.exp(-(n + 2.0))
     return ConstantReport(
         name=f"k_heat[n={n}]", closed_form=closed, cross_check=cross,
@@ -220,13 +219,11 @@ def kappa_max(m: int, n: int) -> ConstantReport:
 
 
 def adjoint_constant(D, domain: Box, center, radius: float,
-                     budget: int = 100_000, seed: int = 0,
-                     threads: int = 1) -> ConstantReport:
+                     budget: int = 100_000, seed: int = 0) -> ConstantReport:
     """L^1 testing constant c = ||phi||_1 / ||D* phi||_inf for the bump phi
     of the given center and radius (fields.bump_function).
 
-    Numerator: radial closed-form quadrature, cross-checked by Monte Carlo
-    with its batches on threads workers.
+    Numerator: radial closed-form quadrature, cross-checked by Monte Carlo.
     Denominator: sup of |D* phi| over a lattice plus random samples of the
     support, using the bump's exact derivatives.
     """
@@ -249,8 +246,7 @@ def adjoint_constant(D, domain: Box, center, radius: float,
     num_closed = radius**d * surface * prof
 
     ball = EuclideanBall(tuple(center), radius)
-    num_mc = integrate(bump, ball, budget=budget, seed=seed,
-                       threads=threads).value
+    num_mc = integrate(bump, ball, budget=budget, seed=seed).value
 
     dstar = D.adjoint()
     mesh = _lattice([np.linspace(c - radius, c + radius, 96) for c in center])
@@ -380,7 +376,7 @@ def pmean_to_sublevel_bound(c: float, p: float, omega_vol: float,
 
 
 def constants_table(ns=(1, 2, 3), ms=(3, 4, 5, 6), budget: int = 200_000,
-                    seed: int = 0, threads: int = 1) -> list[ConstantReport]:
+                    seed: int = 0) -> list[ConstantReport]:
     """The named-constants audit table used by the CLI."""
     rows: list[ConstantReport] = []
     for n in ns:
@@ -388,14 +384,13 @@ def constants_table(ns=(1, 2, 3), ms=(3, 4, 5, 6), budget: int = 200_000,
                                    closed_form=k_laplace(n),
                                    inputs={"n": n}))
     for n in ns:
-        vol = heatball_unit_volume(n, budget=budget, seed=seed,
-                                   threads=threads)
+        vol = heatball_unit_volume(n, budget=budget, seed=seed)
         rows.append(ConstantReport(
             name=f"heatball_volume[n={n}]",
             closed_form=heatball_unit_volume_exact(n), cross_check=vol.value,
             inputs={"n": n, "mc_se": vol.std_error, "mc_samples": vol.samples}))
     for n in ns:
-        rows.append(k_heat(n, budget=budget, seed=seed, threads=threads))
+        rows.append(k_heat(n, budget=budget, seed=seed))
     for m in ms:
         for n in ns:
             rows.append(kappa_max(m, n))

@@ -246,8 +246,7 @@ def fit_harmonic(target: CcwTarget, comb: CombSet, degree: int,
 
 
 def assemble_ccw_witness(delta, degree: int, samples_per_rect: int = 64,
-                         seed: int = 0, budget: int = 200_000,
-                         threads: int = 1) -> dict:
+                         seed: int = 0, budget: int = 200_000) -> dict:
     """Full pipeline: comb -> target -> fit -> u = v - fit, plus certificates.
 
     Returns the witness field and the numbers backing the sublevel claim:
@@ -255,9 +254,7 @@ def assemble_ccw_witness(delta, degree: int, samples_per_rect: int = 64,
     sublevel set {|u| <= tau} has measure at least the comb's.  passed is
     the verdict: Delta u = 1 to 1e-8, |u| <= tau on a grid over the comb,
     and the upper 3-SE bound of the sublevel measure at least the comb's,
-    with sublevel_slack the room in that last inequality.  threads runs
-    the sublevel measure's batches on a pool; the result does not depend
-    on it.
+    with sublevel_slack the room in that last inequality.
     """
     comb = build_comb(delta)
     target = ccw_target(comb)
@@ -272,7 +269,7 @@ def assemble_ccw_witness(delta, degree: int, samples_per_rect: int = 64,
     lap_err = float(np.max(np.abs(laplacian_operator(2).apply(u, grid) - 1.0)))
 
     sub = integrate(lambda pts: (np.abs(u.fn(pts)) <= tau).astype(float),
-                    square, budget=budget, seed=seed, threads=threads)
+                    square, budget=budget, seed=seed)
     comb_grid_ok = True
     for rect in comb.rects:
         g = _rect_grid(rect, 80, 20)
@@ -289,7 +286,7 @@ def assemble_ccw_witness(delta, degree: int, samples_per_rect: int = 64,
             "sublevel_slack": sub_hi - comb.measure}
 
 
-def hessian_family_check(N: float, c: float, threads: int = 1) -> dict:
+def hessian_family_check(N: float, c: float) -> dict:
     """u_N = (e^x sin(Ny) + e)/N on the unit square.
 
     det(-Hess u_N) = e^{2x} for every N (checked on a 64 x 64 grid against
@@ -299,9 +296,10 @@ def hessian_family_check(N: float, c: float, threads: int = 1) -> dict:
 
     sup_grid is max |u_N| over a 128 x ny grid, ny = min(max(1024, 32 N),
     65536), scanned in blocks of whole x-rows, as many as fit in EVAL_BLOCK
-    points and at least one (on a pool of threads workers), so memory does
-    not grow with N.  Block maxima are folded with np.max, so a NaN
-    anywhere on the grid reaches sup_grid.
+    points and at least one, so memory does not grow with N.  The blocks
+    map on the pool of an enclosing quadrature._workers block.  Block
+    maxima are folded with np.max, so a NaN anywhere on the grid reaches
+    sup_grid.
     """
     if N < 1 or c <= 0:
         raise ValueError("need N >= 1 and c > 0")
@@ -322,8 +320,7 @@ def hessian_family_check(N: float, c: float, threads: int = 1) -> dict:
         block = _lattice([xs[i * rows:(i + 1) * rows], ys])
         return np.max(np.abs(u.fn(block)))
 
-    sup_grid = float(np.max(_pool_map(block_max, -(-len(xs) // rows),
-                                      threads)))
+    sup_grid = float(np.max(_pool_map(block_max, -(-len(xs) // rows))))
     sup_bound = 2.0 * math.e / N
     return {"N": N, "c": c, "max_rel_err": max_rel_err,
             "min_det": min_det, "sup_grid": sup_grid, "sup_bound": sup_bound,
@@ -332,7 +329,7 @@ def hessian_family_check(N: float, c: float, threads: int = 1) -> dict:
 
 
 def lift_check(u, omega2: Box, p: float, c: float, budget: int = 100_000,
-               seed: int = 0, threads: int = 1) -> dict:
+               seed: int = 0) -> dict:
     """v(x, y) = u(x) on Omega1 x Omega2 satisfies ||v||_p >= c |Omega2|^{1/p}
     whenever ||u||_p >= c on Omega1 (p > 0); verified within 3 SE."""
     if p <= 0:
@@ -344,7 +341,7 @@ def lift_check(u, omega2: Box, p: float, c: float, budget: int = 100_000,
     product = Box(om1.lo + omega2.lo, om1.hi + omega2.hi)
     fn = u.fn if hasattr(u, "fn") else u
     res = integrate(lambda pts: np.abs(np.asarray(fn(pts[:, :d1]))) ** p,
-                    product, budget=budget, seed=seed, threads=threads)
+                    product, budget=budget, seed=seed)
     lifted = res.value ** (1.0 / p) if res.value > 0 else 0.0
     guarded = res.ci()[1] ** (1.0 / p)
     bound = c * omega2.measure ** (1.0 / p)

@@ -4,11 +4,13 @@ _batches is the one Monte Carlo batch loop of the package: a budget is
 split into fixed-size batches, each drawn from its own SeedSequence
 substream, and the batch results come back in batch order, so every result
 is identical for a given (seed, budget) regardless of thread count.
-mc_mean merges per-batch moments.  integrate and measure take the same
+Batches started inside a _workers block map on its pool; elsewhere they
+run in turn.  mc_mean merges per-batch moments.  integrate takes the same
 moments of uniform draws in the region's bounding box, rejected by
-membership; a Box region holds every draw and skips the test.  pmean_grid
-keeps |f| at the accepted draws of one pass and splits them into its
-doubling groups.  Every mean and standard error comes from _mean_se.
+membership (a Box region holds every draw and skips the test), and measure
+integrates 1 or a predicate.  pmean_grid keeps |f| at the accepted draws
+of one pass and splits them into its doubling groups.  Every mean and
+standard error comes from _mean_se.
 QuadResult.ci and agreement hold the package's one 3-standard-error rule.
 
 BATCH_SIZE sizes the random-number batches and the moment reductions;
@@ -23,6 +25,8 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +53,9 @@ BATCH_SIZE = 65536
 EVAL_BLOCK = 8192
 
 LOG_CLAMP = -700.0
+
+# the ThreadPoolExecutor of the innermost _workers block, or None
+_POOL: ContextVar = ContextVar("_POOL", default=None)
 
 
 class EmptyRegionError(RuntimeError):
@@ -105,21 +112,38 @@ def _moments(vals: np.ndarray) -> tuple[int, float, float]:
     return n, mean, m2
 
 
-def _pool_map(fn, count: int, threads: int) -> list:
-    """[fn(0), ..., fn(count - 1)], in index order; on a pool of threads
-    workers when threads > 1 and there is more than one call."""
-    if threads > 1 and count > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(count)))
+@contextmanager
+def _workers(threads: int):
+    """Map the batches started in the block on one pool of threads workers
+    (none for threads = 1); ValueError if threads < 1.  A worker sees no
+    pool (it starts in a fresh context, and the initializer clears _POOL
+    where threads inherit one), so its own batches run inline."""
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
+    with (ThreadPoolExecutor(threads, initializer=_POOL.set, initargs=(None,))
+          if threads > 1 else nullcontext()) as pool:
+        token = _POOL.set(pool)
+        try:
+            yield
+        finally:
+            _POOL.reset(token)
+
+
+def _pool_map(fn, count: int) -> list:
+    """[fn(0), ..., fn(count - 1)], in index order; on the pool of the
+    enclosing _workers block when there is one and more than one call."""
+    pool = _POOL.get()
+    if pool is not None and count > 1:
+        return list(pool.map(fn, range(count)))
     return [fn(i) for i in range(count)]
 
 
-def _batches(fn, budget: int, seed: int, threads: int) -> list:
+def _batches(fn, budget: int, seed: int) -> list:
     """[fn(rng, count) for each batch of the budget], in batch order.
 
     The budget splits into BATCH_SIZE batches and a ragged last one; each
     batch draws from its own SeedSequence(seed) substream, so the results
-    depend on (seed, budget) only, never on threads.
+    depend on (seed, budget) only, never on the pool.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -127,7 +151,7 @@ def _batches(fn, budget: int, seed: int, threads: int) -> list:
     plan = [BATCH_SIZE] * full + ([rem] if rem else [])
     streams = np.random.SeedSequence(seed).spawn(len(plan))
     return _pool_map(lambda i: fn(np.random.default_rng(streams[i]), plan[i]),
-                     len(plan), threads)
+                     len(plan))
 
 
 def _mean_se(parts: list[tuple[int, float, float]]) -> tuple[int, float, float]:
@@ -146,8 +170,7 @@ def _mean_se(parts: list[tuple[int, float, float]]) -> tuple[int, float, float]:
     return n, mean, math.sqrt(max(var, 0.0) / n)
 
 
-def mc_mean(draw, budget: int, seed: int, method: str,
-            threads: int = 1) -> QuadResult:
+def mc_mean(draw, budget: int, seed: int, method: str) -> QuadResult:
     """Seeded Monte Carlo mean of per-sample values.
 
     draw(rng, count) returns the values of one batch of count samples;
@@ -155,7 +178,7 @@ def mc_mean(draw, budget: int, seed: int, method: str,
     """
     n, mean, se = _mean_se(_batches(
         lambda rng, count: _moments(np.asarray(draw(rng, count), dtype=float)),
-        budget, seed, threads))
+        budget, seed))
     return QuadResult(value=mean, std_error=se, samples=n, method=method)
 
 
@@ -186,10 +209,15 @@ def _members(region, box, pts: np.ndarray):
     return slice(None) if region is box else region.contains(pts)
 
 
-def _box_rejection_mean(region, values, budget: int, seed: int,
-                        threads: int) -> QuadResult:
-    """Mean over the region's bounding box of |box| values(p) at members,
-    0 elsewhere.  Raises EmptyRegionError if no draw is accepted."""
+def integrate(f, region, budget: int = 100_000, seed: int = 0) -> QuadResult:
+    """Rejection Monte Carlo integral of f over the region: the mean over
+    the region's bounding box of |box| f at members, 0 elsewhere.
+
+    f is a vectorized callable (N, d) -> (N,); it is evaluated only at
+    accepted points.  Raises EmptyRegionError if no draw is accepted and
+    ValueError if f is NaN or infinite at an accepted point.
+    """
+    fn = f.fn if hasattr(f, "fn") else f
     box = region.bounding_box()
     boxvol = box.measure
 
@@ -199,10 +227,11 @@ def _box_rejection_mean(region, values, budget: int, seed: int,
         inside = pts[member]
         vals = np.zeros(count)
         if len(inside):
-            vals[member] = _blockwise(lambda p: _finite(values(p)), inside)
+            vals[member] = _blockwise(
+                lambda p: _finite(np.asarray(fn(p), dtype=float)), inside)
         return _moments(vals * boxvol), len(inside)
 
-    parts = _batches(batch, budget, seed, threads)
+    parts = _batches(batch, budget, seed)
     if not any(hits for _, hits in parts):
         raise EmptyRegionError("no sample landed in the region")
     n, mean, se = _mean_se([moments for moments, _ in parts])
@@ -210,33 +239,16 @@ def _box_rejection_mean(region, values, budget: int, seed: int,
                       method="mc-rejection")
 
 
-def integrate(f, region, budget: int = 100_000, seed: int = 0,
-              threads: int = 1) -> QuadResult:
-    """Rejection Monte Carlo integral of f over the region.
-
-    f is a vectorized callable (N, d) -> (N,); it is evaluated only at
-    accepted points.  Raises EmptyRegionError if no draw is accepted and
-    ValueError if f is NaN or infinite at an accepted point.
-    """
-    fn = f.fn if hasattr(f, "fn") else f
-    return _box_rejection_mean(
-        region, lambda pts: np.asarray(fn(pts), dtype=float), budget, seed,
-        threads)
-
-
-def measure(region, predicate=None, budget: int = 100_000, seed: int = 0,
-            threads: int = 1) -> QuadResult:
+def measure(region, predicate=None, budget: int = 100_000,
+            seed: int = 0) -> QuadResult:
     """Volume of the region, or of its subset where predicate holds.
 
     An everywhere-false predicate gives 0 with zero variance; only a region
     that is never hit at all raises EmptyRegionError.
     """
     if predicate is None:
-        return _box_rejection_mean(region, lambda pts: 1.0, budget, seed,
-                                   threads)
-    return _box_rejection_mean(
-        region, lambda pts: np.asarray(predicate(pts), dtype=float),
-        budget, seed, threads)
+        return integrate(lambda pts: np.ones(len(pts)), region, budget, seed)
+    return integrate(predicate, region, budget, seed)
 
 
 def _divergence_verdict(groups: list[np.ndarray], p: float) -> bool:
@@ -263,8 +275,8 @@ def _divergence_verdict(groups: list[np.ndarray], p: float) -> bool:
     return mean3 - mean1 > 3.0 * math.hypot(se1, se3)
 
 
-def pmean(f, region, p: float, budget: int = 100_000, seed: int = 0,
-          threads: int = 1) -> PMeanReport:
+def pmean(f, region, p: float, budget: int = 100_000,
+          seed: int = 0) -> PMeanReport:
     """Normalized p-th mean (avg |f|^p)^{1/p} with divergence detection.
 
     p = 0 is the geometric mean (log-mean clamped at -700; a clamp present
@@ -273,7 +285,7 @@ def pmean(f, region, p: float, budget: int = 100_000, seed: int = 0,
     mean of |f|^p keeps growing.  p = +-inf are sampled sup/inf of |f|.
     A NaN or infinite value of f at an accepted point raises ValueError.
     """
-    return pmean_grid(f, region, [p], budget, seed, threads)[0]
+    return pmean_grid(f, region, [p], budget, seed)[0]
 
 
 def _pmean_of(y: np.ndarray, p: float) -> PMeanReport:
@@ -317,8 +329,8 @@ def _pmean_of(y: np.ndarray, p: float) -> PMeanReport:
                        samples=total, method=method)
 
 
-def pmean_grid(f, region, ps, budget: int = 100_000, seed: int = 0,
-               threads: int = 1) -> list[PMeanReport]:
+def pmean_grid(f, region, ps, budget: int = 100_000,
+               seed: int = 0) -> list[PMeanReport]:
     """p-means over a grid of exponents sharing one sample set.
 
     One _batches pass draws the budget in the region's bounding box and
@@ -339,7 +351,7 @@ def pmean_grid(f, region, ps, budget: int = 100_000, seed: int = 0,
         return np.abs(_blockwise(
             lambda p: _finite(np.asarray(fn(p), dtype=float)), inside))
 
-    y = np.concatenate(_batches(accepted, budget, seed, threads))
+    y = np.concatenate(_batches(accepted, budget, seed))
     if not len(y):
         raise EmptyRegionError("no sample landed in the region")
     return [_pmean_of(y, float(p)) for p in ps]

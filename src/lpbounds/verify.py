@@ -40,8 +40,8 @@ from .fields import (
     laplacian_operator,
     mixed_xy_operator,
 )
-from .quadrature import (integrate, measure, pmean, pmean_grid, box_gauss,
-                         agreement)
+from .quadrature import (_workers, integrate, measure, pmean, pmean_grid,
+                         box_gauss, agreement)
 from .averages import (
     SMAX,
     ball_average,
@@ -150,6 +150,8 @@ def default_config(overrides: dict | None = None) -> dict:
     cfg["samples"] = int(cfg["samples"])
     cfg["fields"] = int(cfg["fields"])
     cfg["threads"] = int(cfg["threads"])
+    if cfg["threads"] < 1:
+        raise ValueError("threads must be at least 1")
     cfg["p_list"] = [float(p) for p in cfg["p_list"]]
     return cfg
 
@@ -168,11 +170,10 @@ def _const_field(value: float, dim: int, domain: Box | None = None) -> ScalarFie
                             name=f"const-{value:g}")
 
 
-def _guarded_norm(u, region, p: float, budget: int, seed: int,
-                  threads: int) -> float:
+def _guarded_norm(u, region, p: float, budget: int, seed: int) -> float:
     """(integral of |u|^p + 3 SE)^{1/p}, an upper confidence quasinorm."""
     res = integrate(lambda pts: np.abs(np.asarray(u.fn(pts))) ** p, region,
-                    budget=budget, seed=seed, threads=threads)
+                    budget=budget, seed=seed)
     return max(res.ci()[1], 0.0) ** (1.0 / p)
 
 
@@ -206,7 +207,7 @@ def _suite_lp_thm(cfg, seed, heat=False):
         for i in range(cfg["fields"]):
             sid = f"{name}/lp-lower[p={p:g},field={i}]"
             u = random_field(seed(sid), domain=square)
-            hi = _guarded_norm(u, square, p, budget, seed(sid), cfg["threads"])
+            hi = _guarded_norm(u, square, p, budget, seed(sid))
             yield sid, hi >= cp, hi - cp
 
 
@@ -216,8 +217,7 @@ def _suite_l1_linear(cfg, seed):
     square = _unit_square()
     D = mixed_xy_operator()
     sid = "l1-linear/adjoint-constant"
-    rep = adjoint_constant(D, square, (0.5, 0.5), 0.4, budget=budget,
-                           seed=seed(sid), threads=cfg["threads"])
+    rep = adjoint_constant(D, square, (0.5, 0.5), 0.4, budget, seed(sid))
     c = rep.closed_form
     yield sid, c > 0.0 and (rep.rel_gap is None or rep.rel_gap < 0.05), c
 
@@ -236,7 +236,7 @@ def _suite_l1_linear(cfg, seed):
 
         sid = f"l1-linear/l1-lower[{label}]"
         res = integrate(lambda pts: np.abs(u.fn(pts)), square,
-                        budget=budget, seed=seed(sid), threads=cfg["threads"])
+                        budget=budget, seed=seed(sid))
         gauss = box_gauss(lambda pts: np.abs(u.fn(pts)), square)
         diff, tol = agreement(res, gauss.value, 1e-6)
         hi = res.ci()[1]
@@ -250,8 +250,7 @@ def _suite_prop_general(cfg, seed):
     square = _unit_square()
     D = laplacian_operator(2)
     sid = "prop-general/adjoint-constant"
-    rep = adjoint_constant(D, square, (0.5, 0.5), 0.4, budget=budget,
-                           seed=seed(sid), threads=cfg["threads"])
+    rep = adjoint_constant(D, square, (0.5, 0.5), 0.4, budget, seed(sid))
     c = rep.closed_form
     yield sid, c > 0.0, c
     eps = c / (2.0 * square.measure)
@@ -263,12 +262,12 @@ def _suite_prop_general(cfg, seed):
         u = random_laplace_one(seed(fid), domain=square)
         sid = f"prop-general/l1-lower[field={i}]"
         res = integrate(lambda pts: np.abs(u.fn(pts)), square,
-                        budget=budget, seed=seed(fid), threads=cfg["threads"])
+                        budget=budget, seed=seed(fid))
         hi = res.ci()[1]
         yield sid, hi >= c, hi - c, seed(fid)
 
         mu = measure(square, lambda pts: np.abs(u.fn(pts)) >= eps,
-                     budget=budget, seed=seed(fid) + 1, threads=cfg["threads"])
+                     budget=budget, seed=seed(fid) + 1)
         mu_hi = mu.ci()[1]
         sup = dense_box_sup(u, square, interior=96, edge=4097)
         for p in (1.0, 2.0, math.inf):
@@ -278,8 +277,7 @@ def _suite_prop_general(cfg, seed):
             elif p == 1.0:
                 lhs = hi
             else:
-                norm_hi = _guarded_norm(u, square, p, budget,
-                                        seed(sid), cfg["threads"])
+                norm_hi = _guarded_norm(u, square, p, budget, seed(sid))
                 lhs = norm_hi * mu_hi ** (1.0 - 1.0 / p)
             yield sid, lhs >= cprime, lhs - cprime
 
@@ -459,7 +457,7 @@ def _suite_mvi_family(cfg, seed):
 
 def _suite_constants_audit(cfg, seed):
     """Closed forms vs independent routes for every named constant."""
-    budget, seed0, threads = cfg["budget"], cfg["seed"], cfg["threads"]
+    budget, seed0 = cfg["budget"], cfg["seed"]
 
     for n, want in ((1, 1.0 / 6.0), (2, 0.125), (3, 0.1)):
         sid = f"constants/k-laplace[n={n}]"
@@ -469,8 +467,7 @@ def _suite_constants_audit(cfg, seed):
         sid = f"constants/heatball-volume[n={n}]"
         ex = heatball_unit_volume_exact(n)
         qd = heatball_unit_volume_quad(n)
-        mc = heatball_unit_volume(n, budget=2 * budget, seed=seed(sid),
-                                  threads=threads)
+        mc = heatball_unit_volume(n, budget=2 * budget, seed=seed(sid))
         ok, margin = _agree(mc, ex, 1e-12)
         yield sid, abs(ex - qd) <= 1e-9 * ex and ok, margin
 
@@ -479,13 +476,12 @@ def _suite_constants_audit(cfg, seed):
     yield sid, abs(ex1 - 0.030628) <= 1e-5, 1e-5 - abs(ex1 - 0.030628), seed0
 
     sid = "constants/heatball-scaling"
-    mc2 = measure(Heatball((0.0, 0.0), 2.0), budget=2 * budget, seed=seed(sid),
-                  threads=threads)
+    mc2 = measure(Heatball((0.0, 0.0), 2.0), budget=2 * budget, seed=seed(sid))
     yield sid, *_agree(mc2, 2.0**3 * ex1)
 
     for n in (1, 2):
         sid = f"constants/k-heat[n={n}]"
-        rep = k_heat(n, budget=2 * budget, seed=seed(sid), threads=threads)
+        rep = k_heat(n, budget=2 * budget, seed=seed(sid))
         ok = rep.closed_form > 0 and rep.rel_gap < 0.02
         yield sid, ok, 0.02 - rep.rel_gap
 
@@ -528,14 +524,13 @@ def _suite_constants_audit(cfg, seed):
     square = _unit_square()
     sid = "constants/adjoint-laplace"
     rep = adjoint_constant(laplacian_operator(2), square, (0.5, 0.5), 0.4,
-                           budget=budget, seed=seed(sid), threads=threads)
+                           budget=budget, seed=seed(sid))
     ok = rep.closed_form > 0 and rep.rel_gap < 0.05
     yield sid, ok, 0.05 - rep.rel_gap
 
     sid = "constants/adjoint-scaling"
     small, big = (adjoint_constant(mixed_xy_operator(), square, (0.5, 0.5),
-                                   radius, budget=budget, seed=seed(sid),
-                                   threads=threads)
+                                   radius, budget=budget, seed=seed(sid))
                   for radius in (0.2, 0.4))
     ratio = big.closed_form / small.closed_form
     gap = abs(ratio / 2.0 ** (2 + 2) - 1.0)
@@ -550,8 +545,7 @@ def _suite_constants_audit(cfg, seed):
     yield sid, cp > 0.0, cp
 
     sid = "constants/table-shape"
-    rows = constants_table(ns=(1,), ms=(3,), budget=10_000, seed=seed0,
-                           threads=threads)
+    rows = constants_table(ns=(1,), ms=(3,), budget=10_000, seed=seed0)
     names = [r.name for r in rows]
     ok = ("k_laplace[n=1]" in names and "k_heat[n=1]" in names
           and any(nm.startswith("heatball_volume") for nm in names)
@@ -561,7 +555,7 @@ def _suite_constants_audit(cfg, seed):
 
 def _suite_counterexamples(cfg, seed):
     """Comb construction, Runge fit, oscillating Hessian family, lift."""
-    budget, seed0, threads = cfg["budget"], cfg["seed"], cfg["threads"]
+    budget, seed0 = cfg["budget"], cfg["seed"]
     square = _unit_square()
 
     for k in (2, 3, 4, 5):
@@ -600,25 +594,25 @@ def _suite_counterexamples(cfg, seed):
 
     sid = "ce/witness"
     wit = assemble_ccw_witness(Fraction(1, 8), degree=12, seed=seed(sid),
-                               budget=2 * budget, threads=threads)
+                               budget=2 * budget)
     yield sid, wit["passed"], wit["sublevel_slack"]
 
     sid = "ce/steinerberger-product"
     u = wit["field"]
     rep = adjoint_constant(laplacian_operator(2), square, (0.5, 0.5), 0.4,
-                           budget=budget, seed=seed(sid), threads=threads)
+                           budget=budget, seed=seed(sid))
     cpr = rep.closed_form / 2.0
     epsv = rep.closed_form / (2.0 * square.measure)
     sup = dense_box_sup(u, square, interior=96, edge=4097)
     mu = measure(square, lambda pts: np.abs(u.fn(pts)) >= epsv,
-                 budget=budget, seed=seed(sid), threads=threads)
+                 budget=budget, seed=seed(sid))
     lhs = sup * mu.ci()[1]
     yield sid, lhs >= cpr, lhs - cpr
 
     sups = {}
     for N in (10, 100, 1000):
         sid = f"ce/hessian-family[N={N}]"
-        rep = hessian_family_check(N, c=0.1, threads=threads)
+        rep = hessian_family_check(N, c=0.1)
         sups[N] = rep["sup_grid"]
         ok = rep["max_rel_err"] <= 1e-11 and rep["min_det"] >= 1.0 - 1e-11
         if N > 2 * math.e / 0.1:
@@ -634,11 +628,10 @@ def _suite_counterexamples(cfg, seed):
         sid = f"ce/lift[p={p:g}]"
         base = random_laplace_one(seed(sid), domain=square)
         lo = integrate(lambda pts: np.abs(base.fn(pts)) ** p, square,
-                       budget=budget, seed=seed(sid), threads=threads)
+                       budget=budget, seed=seed(sid))
         c = max(lo.ci()[0], 0.0) ** (1.0 / p) * 0.999
         rep, rep2 = (lift_check(base, Box((0.0,), (length,)), p, c,
-                                budget=2 * budget, seed=seed(sid),
-                                threads=threads)
+                                budget=2 * budget, seed=seed(sid))
                      for length in (1.0, 2.0))
         scale_ok = abs(rep2["bound"] / rep["bound"] - 2.0 ** (1.0 / p)) <= 1e-12
         yield (sid, rep["passed"] and rep2["passed"] and scale_ok,
@@ -653,14 +646,12 @@ def _suite_pmeans(cfg, seed):
     budget = max(cfg["budget"], 7000)
 
     def interval_pmean(fn, p, sid):
-        return pmean(fn, interval, p, budget=budget, seed=seed(sid),
-                     threads=cfg["threads"])
+        return pmean(fn, interval, p, budget=budget, seed=seed(sid))
 
     sid = "pmeans/grid-monotone"
     u = random_laplace_one(seed(sid), domain=square)
     ps = [-0.5, 0.0, 0.5, 1.0, 2.0, math.inf]
-    reports = pmean_grid(u.fn, square, ps, budget=budget, seed=seed(sid),
-                         threads=cfg["threads"])
+    reports = pmean_grid(u.fn, square, ps, budget=budget, seed=seed(sid))
     vals = [r.value for r in reports]
     mono = all(vals[i] <= vals[i + 1] + 1e-12 for i in range(len(vals) - 1))
     yield sid, mono, min(vals[i + 1] - vals[i] for i in range(len(vals) - 1))
@@ -675,9 +666,9 @@ def _suite_pmeans(cfg, seed):
     sid = "pmeans/chebyshev"
     epsv = 0.05
     mu = measure(square, lambda pts: np.abs(u.fn(pts)) >= epsv, budget=budget,
-                 seed=seed(sid), threads=cfg["threads"])
+                 seed=seed(sid))
     mu_lo = max(mu.ci()[0], 0.0)
-    norm_hi = _guarded_norm(u, square, 2.0, budget, seed(sid), cfg["threads"])
+    norm_hi = _guarded_norm(u, square, 2.0, budget, seed(sid))
     lhs = epsv * mu_lo ** 0.5
     yield sid, lhs <= norm_hi, norm_hi - lhs
 
@@ -712,7 +703,7 @@ def _suite_pmeans(cfg, seed):
     epsv = 0.1
     cap = pmean_to_sublevel_bound(cval, -0.5, 1.0, epsv)
     mu = measure(interval, lambda pts: np.abs(pts[:, 0]) <= epsv,
-                 budget=budget, seed=seed(sid), threads=cfg["threads"])
+                 budget=budget, seed=seed(sid))
     lo = mu.ci()[0]
     yield sid, lo <= cap, cap - lo
 
@@ -738,7 +729,8 @@ def run_suite(name: str, config: dict | None = None) -> SuiteResult:
     config (defaults filled in) is echoed on the result.
 
     A suite is a generator (cfg, seed) of (statement, passed, margin); each
-    check records seed(statement), or a fourth item if the suite yields one."""
+    check records seed(statement), or a fourth item if the suite yields one.
+    The suite runs inside one quadrature._workers(cfg["threads"]) block."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; available: "
                          f"{', '.join(SUITE_NAMES)}")
@@ -747,6 +739,7 @@ def run_suite(name: str, config: dict | None = None) -> SuiteResult:
     def seed(statement: str) -> int:
         return (cfg["seed"] + zlib.crc32(statement.encode())) % (2**31)
 
-    checks = [CheckResult(sid, passed, margin, *(recorded or [seed(sid)]))
-              for sid, passed, margin, *recorded in SUITES[name](cfg, seed)]
+    with _workers(cfg["threads"]):
+        checks = [CheckResult(sid, passed, margin, *(extra or [seed(sid)]))
+                  for sid, passed, margin, *extra in SUITES[name](cfg, seed)]
     return SuiteResult(name=name, checks=checks, config=cfg)

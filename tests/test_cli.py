@@ -193,6 +193,21 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["suite", "claims", "--threads", "-3"],
+    ["mvi-check", "--threads", "0"],
+    ["constants", "--threads", "0"],
+])
+def test_threads_below_one_exit_2_and_write_nothing(tmp_path, capsys, argv):
+    # a thread count below one is a usage error on every command, so no
+    # config holding it is echoed or persisted
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --threads must be at least 1\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_errors_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("not json")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpbounds import counterexamples
+from lpbounds import counterexamples, quadrature
 from lpbounds.geometry import Box
 from lpbounds.quadrature import EVAL_BLOCK
 from lpbounds.fields import laplacian_operator, monomial_field
@@ -206,7 +206,8 @@ def test_hessian_family_scans_whole_rows_in_bounded_blocks(monkeypatch,
     assert EVAL_BLOCK == 8 * 1024 < 32_000
     for N, blocks in ((10, [8 * 1024] * 16), (1000, [32_000] * 128)):
         sizes.clear()
-        out = hessian_family_check(N, 0.1, threads=threads)
+        with quadrature._workers(threads):
+            out = hessian_family_check(N, 0.1)
         assert sorted(sizes) == blocks
         assert out["sup_grid"] == float.fromhex(_HESSIAN_FAMILY_BITS[N][2])
 

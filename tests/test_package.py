@@ -1,4 +1,6 @@
 import ast
+import importlib
+import inspect
 import pathlib
 import re
 
@@ -131,3 +133,17 @@ def test_no_public_parameter_is_a_fixed_knob():
                 knobs.append(f"{module}.{name}:{param} (always "
                              f"{literals[0]!r})")
     assert knobs == []
+
+
+def test_no_numeric_function_takes_threads():
+    # the thread count reaches Monte Carlo only through the pool of a
+    # quadrature._workers block, so no function below the CLI and the
+    # suites takes it as an argument; _workers itself is the one exception
+    found = []
+    for module in ("quadrature", "averages", "constants", "counterexamples"):
+        mod = importlib.import_module(f"lpbounds.{module}")
+        for name, fn in vars(mod).items():
+            if (inspect.isfunction(fn) and fn.__module__ == mod.__name__
+                    and "threads" in inspect.signature(fn).parameters):
+                found.append(f"{module}.{name}")
+    assert found == ["quadrature._workers"]

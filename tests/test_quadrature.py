@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -77,8 +78,35 @@ def test_integrate_deterministic_and_threaded():
         a = run(budget=150_000, seed=11)
         b = run(budget=150_000, seed=11)
         assert a == b
-        c = run(budget=150_000, seed=11, threads=2)
+        with quadrature._workers(2):
+            c = run(budget=150_000, seed=11)
         assert c.value == a.value and c.std_error == a.std_error
+
+
+def test_a_pooled_map_runs_its_inner_maps_inline():
+    # a function mapped on the pool that maps again runs its inner calls on
+    # its own worker, in turn, so no call waits on the pool it runs on
+    def outer(i):
+        here = threading.get_ident()
+        inner = quadrature._pool_map(lambda j: threading.get_ident(), 4)
+        return here, inner, quadrature._POOL.get()
+
+    main = threading.get_ident()
+    with quadrature._workers(2):
+        pool = quadrature._POOL.get()
+        out = quadrature._pool_map(outer, 8)
+    assert pool is not None and quadrature._POOL.get() is None
+    for here, inner, seen in out:
+        assert here != main and inner == [here] * 4 and seen is None
+
+
+def test_workers_reject_fewer_than_one_thread():
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            with quadrature._workers(threads):
+                pass
+    with quadrature._workers(1):
+        assert quadrature._POOL.get() is None
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -88,14 +116,15 @@ def test_box_region_skips_membership_with_the_same_bits(threads):
     # a ragged third
     box = Box((0.0, -1.0), (2.0, 0.5))
     f = polynomial_field({(2, 1): 1.0, (0, 0): 0.5})
-    runs = [lambda r: integrate(f, r, budget=150_001, seed=5, threads=threads),
-            lambda r: measure(r, budget=150_001, seed=5, threads=threads),
+    runs = [lambda r: integrate(f, r, budget=150_001, seed=5),
+            lambda r: measure(r, budget=150_001, seed=5),
             lambda r: measure(r, predicate=lambda p: p[:, 0] < -p[:, 1],
-                              budget=150_001, seed=5, threads=threads),
+                              budget=150_001, seed=5),
             lambda r: pmean_grid(f, r, [-0.5, 0.0, 0.5, 2.0],
                                  budget=150_001, seed=5)]
-    for run in runs:
-        assert run(box) == run(_BoxView(box))
+    with quadrature._workers(threads):
+        for run in runs:
+            assert run(box) == run(_BoxView(box))
 
 
 def test_pmean_grid_splits_one_pass_into_doubling_groups(monkeypatch):
@@ -114,8 +143,11 @@ def test_pmean_grid_splits_one_pass_into_doubling_groups(monkeypatch):
     f = polynomial_field({(2, 1): 1.0, (0, 0): 0.5})
     for region in (box, _BoxView(box)):
         sizes.clear()
-        reps = [pmean_grid(f, region, [-0.5, 0.0, 1.0], budget=150_001,
-                           seed=5, threads=threads) for threads in (1, 2)]
+        reps = []
+        for threads in (1, 2):
+            with quadrature._workers(threads):
+                reps.append(pmean_grid(f, region, [-0.5, 0.0, 1.0],
+                                       budget=150_001, seed=5))
         assert reps[0] == reps[1]
         total = reps[0][0].samples
         n1 = total // 7

@@ -289,38 +289,66 @@ def test_pmeans_suite_passes():
     assert res.overall, [c.statement for c in res.checks if not c.passed]
 
 
-# Suites whose multi-batch Monte Carlo runs on cfg["threads"].  The averages
-# of deriv-formulas and mvi-family (ball_average, deriv1_rhs, the MVI
-# harness, ...) stay on one thread, and claims runs no Monte Carlo mean.
-THREADED_SUITES = ("counterexamples", "constants-audit", "l1-linear",
-                   "prop-general", "laplace-thm", "heat-thm", "pmeans")
-SINGLE_THREADED_SUITES = ("deriv-formulas", "mvi-family", "claims")
-
-
 def test_multi_batch_monte_carlo_runs_on_the_config_threads(monkeypatch):
-    assert (set(THREADED_SUITES) | set(SINGLE_THREADED_SUITES)
-            == set(SUITE_NAMES))
+    # run_suite opens one quadrature._workers(cfg["threads"]) block, and
     # every Monte Carlo mean (mc_mean, integrate, measure, pmean and
-    # pmean_grid) runs its batches through quadrature._batches
+    # pmean_grid) runs its batches through quadrature._batches: at
+    # threads=2 each multi-batch call of every suite but claims, which runs
+    # no Monte Carlo mean, sees the pool, and at threads=1 none does
     real = quadrature._batches
     calls = []
 
-    def recording(fn, budget, seed, threads):
-        calls.append((budget, threads))
-        return real(fn, budget, seed, threads)
+    def recording(fn, budget, seed):
+        calls.append((budget, quadrature._POOL.get()))
+        return real(fn, budget, seed)
 
     monkeypatch.setattr(quadrature, "_batches", recording)
     budget = quadrature.BATCH_SIZE + 1000
-    for name in THREADED_SUITES:
+    for name in SUITE_NAMES:
         rows = {}
+        pooled = {}
         for threads in (1, 2):
             calls.clear()
             res = run_suite(name, {"budget": budget, "fields": 2,
                                    "threads": threads})
             rows[threads] = [c.as_dict() for c in res.checks]
-        multi = {t for b, t in calls if b > quadrature.BATCH_SIZE}
-        assert multi == {2}, name
+            pooled[threads] = [pool is not None for b, pool in calls
+                               if b > quadrature.BATCH_SIZE]
+        assert not any(pooled[1]), name
+        if name == "claims":
+            assert pooled[2] == [], name
+        else:
+            assert pooled[2] and all(pooled[2]), name
         assert rows[1] == rows[2], name
+
+
+def test_a_suite_opens_one_pool(monkeypatch):
+    # one pool per run_suite: counterexamples makes twelve multi-batch or
+    # multi-block calls, and they all share it
+    real = quadrature.ThreadPoolExecutor
+    made = []
+
+    def counting(*args, **kwargs):
+        pool = real(*args, **kwargs)
+        made.append(pool._max_workers)
+        return pool
+
+    monkeypatch.setattr(quadrature, "ThreadPoolExecutor", counting)
+    run_suite("counterexamples", {"budget": quadrature.BATCH_SIZE + 1000,
+                                  "threads": 2})
+    assert made == [2]
+    made.clear()
+    run_suite("counterexamples", {"budget": quadrature.BATCH_SIZE + 1000,
+                                  "threads": 1})
+    assert made == []
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_threads_below_one_are_rejected(threads):
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        default_config({"threads": threads})
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        run_suite("claims", {"threads": threads})
 
 
 def test_suite_result_overall_tracks_checks():
