@@ -164,21 +164,30 @@ def deriv1_rhs(u, x, r: float, budget: int = 100_000,
     return _ball_mean(u, x, r, value, budget, seed)
 
 
-def _slice_samples(n: int, kernel_dim: int, count: int,
+def _slice_weights(n: int, kernel_dim: int, count: int,
                    rng: np.random.Generator):
-    """Importance samples of the unit heat ball with kernel dimension D.
+    """Importance draws of the unit heat ball's ages, with kernel dimension D.
 
-    s = u^2/(4 pi) (density 1/(2 sqrt(s_max s))), y uniform in the slice
-    ball of radius sqrt(2 D s log(1/(4 pi s))).  Returns (y, s, w) with
-    w the importance weight such that int_{E(1)} g = E[g(y, s) w].
+    s = u^2/(4 pi) (density 1/(2 sqrt(s_max s))), and the slice at age s is
+    the ball of radius rho = sqrt(2 D s log(1/(4 pi s))).  Returns
+    (s, rho, w) with w the importance weight such that
+    int_{E(1)} g = E[g(y, s) w] for y uniform in the slice ball.  Draws
+    only u, so a caller that reads w alone draws nothing more.
     """
     uu = np.maximum(rng.random(count), 1e-16)
     s = SMAX * uu * uu
     bigl = -2.0 * np.log(uu)
     rho = np.sqrt(2.0 * kernel_dim * s * bigl)
-    y = rho[:, None] * unit_ball_points(n, count, rng)
     w = unit_ball_volume(n) * rho**n * 2.0 * np.sqrt(SMAX * s)
-    return y, s, w
+    return s, rho, w
+
+
+def _slice_samples(n: int, kernel_dim: int, count: int,
+                   rng: np.random.Generator):
+    """Importance samples (y, s, w) of the unit heat ball: _slice_weights,
+    then y uniform in each slice ball from the same generator."""
+    s, rho, w = _slice_weights(n, kernel_dim, count, rng)
+    return rho[:, None] * unit_ball_points(n, count, rng), s, w
 
 
 def _heatball_points(center: np.ndarray, r: float, y: np.ndarray,
@@ -268,11 +277,16 @@ def modified_heatball_average(u, center, r: float, m: int,
 
 def heatball_unit_volume(n: int, budget: int = 200_000,
                          seed: int = 0) -> QuadResult:
-    """Monte Carlo |E(1)| in slice coordinates (importance sampler weight)."""
+    """Monte Carlo |E(1)|: the mean importance weight of the slice sampler.
+
+    The weights are drawn alone.  Each batch has its own generator and
+    _slice_samples draws y after them, so the bits are those of the full
+    sampler.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
-    return _heatball_mean(None, np.zeros(n + 1), 1.0, 0,
-                          lambda y, s, w: w, budget, seed)
+    return mc_mean(lambda rng, count: _slice_weights(n, n, count, rng)[2],
+                   budget, seed, "mc-slice-importance")
 
 
 @dataclass(frozen=True)
@@ -474,12 +488,12 @@ def check_modified_heatball_mvi(u, m: int, centers,
     E_m(center; R) must lie in u's domain box.  constant overrides
     M_{m,n} (used by the deliberately-failing sanity check).
     """
-    from .constants import kappa_max
+    from .constants import kappa_max_value
 
     R = 0.5
     centers = _as_points(centers, u.dim)
     n = centers.shape[1] - 1
-    M = kappa_max(m, n).closed_form if constant is None else float(constant)
+    M = kappa_max_value(m, n) if constant is None else float(constant)
     base = _positive_values(u)
     scale = R ** (n + 2)
     res = [_heatball_mean(

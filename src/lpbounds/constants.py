@@ -38,6 +38,7 @@ __all__ = [
     "heatball_unit_volume_exact",
     "heatball_unit_volume_quad",
     "kappa",
+    "kappa_max_value",
     "kappa_max",
     "golden_max",
     "adjoint_constant",
@@ -120,44 +121,83 @@ def k_heat(n: int, budget: int = 200_000, seed: int = 0) -> ConstantReport:
                 "volume_mc_se": vol.std_error})
 
 
+_OUTSIDE = "point outside the modified heat ball"
+
+
 def kappa(m: int, n: int, y, s):
     """Kernel of the modified heat-ball mean value property.
 
     kappa_{m,n}(y, s) = |B_1|/(2m+4) A~^m (m(m+n) L/s + |y|^2/s^2) with
     A~^2 = 2 s (m+n) L - |y|^2, L = log(1/(4 pi s)), and |B_1| the unit
     ball volume of R^m (the dimension of the integrated-out variables).
-    Zero on the boundary A~ = 0 and extended by 0 at (0, 0).
+    Zero on the boundary A~ = 0 and extended by 0 at (0, 0).  A point
+    outside the ball, or with a NaN coordinate, raises ValueError.
+
+    One point (y of shape (n,), s a scalar) returns a float, computed on
+    scalars with the bits of a one-row batch (see _kappa_point); a batch
+    returns an array.
     """
     if m < 3:
         raise ValueError("m must be at least 3")
     if n < 1:
         raise ValueError("n must be at least 1")
     yarr = np.asarray(y, dtype=float)
-    single = yarr.ndim <= 1 and np.ndim(s) == 0
+    if yarr.ndim <= 1 and np.ndim(s) == 0:
+        return _kappa_point(m, n, yarr.reshape(-1), s)
     yarr = np.atleast_2d(yarr)
     if yarr.shape[1] != n:
         raise ValueError(f"y must have {n} coordinates")
     sarr = np.broadcast_to(np.asarray(s, dtype=float), (len(yarr),)).copy()
     out = np.zeros(len(yarr))
+    if not np.all((sarr >= 0.0) & (sarr <= SMAX * (1.0 + 1e-12))):
+        raise ValueError(_OUTSIDE)
     pos = sarr > 0.0
-    if np.any(sarr < 0.0) or np.any(sarr > SMAX * (1.0 + 1e-12)):
-        raise ValueError("point outside the modified heat ball")
     if np.any(pos):
         ss = sarr[pos]
         bigl = np.log(1.0 / (4.0 * math.pi * ss))
         y2 = np.sum(yarr[pos] ** 2, axis=1)
         a2 = 2.0 * ss * (m + n) * bigl - y2
         scale = np.maximum(2.0 * ss * (m + n) * np.maximum(bigl, 0.0), 1e-300)
-        if np.any(a2 < -1e-9 * scale):
-            raise ValueError("point outside the modified heat ball")
+        if not np.all(a2 >= -1e-9 * scale):
+            raise ValueError(_OUTSIDE)
         a2 = np.maximum(a2, 0.0)
         out[pos] = (unit_ball_volume(m) / (2.0 * m + 4.0) * a2 ** (m / 2.0)
                     * (m * (m + n) * bigl / ss + y2 / ss**2))
-    if np.any(~pos):
+    if not np.all(pos):
         y2z = np.sum(yarr[~pos] ** 2, axis=1)
-        if np.any(y2z > 0.0):
-            raise ValueError("point outside the modified heat ball")
-    return float(out[0]) if single else out
+        if not np.all(y2z == 0.0):
+            raise ValueError(_OUTSIDE)
+    return out
+
+
+def _kappa_point(m: int, n: int, y: np.ndarray, s) -> float:
+    """kappa at one point, without array set-up, in the batch path's
+    operation order.  s is an np.float64, so a zero divisor gives inf or
+    NaN as in the batch.  The bits agree because |y|^2 sums left to right
+    as np.sum does, np.log runs on an np.float64, and A~^m is a2 * a2 at
+    m = 4 (NumPy's square, as a2 ** 2.0 is) and np.power on a one-element
+    array otherwise (Python's ** rounds differently)."""
+    if len(y) != n:
+        raise ValueError(f"y must have {n} coordinates")
+    s = np.float64(s)
+    if not 0.0 <= s <= SMAX * (1.0 + 1e-12):
+        raise ValueError(_OUTSIDE)
+    y2 = 0.0
+    for c in y.tolist():
+        y2 += c * c
+    if s == 0.0:
+        if not y2 == 0.0:
+            raise ValueError(_OUTSIDE)
+        return 0.0
+    bigl = np.log(1.0 / (4.0 * math.pi * s))
+    a2 = 2.0 * s * (m + n) * bigl - y2
+    scale = max(2.0 * s * (m + n) * max(bigl, 0.0), 1e-300)
+    if not a2 >= -1e-9 * scale:
+        raise ValueError(_OUTSIDE)
+    a2 = max(a2, 0.0)
+    power = a2 * a2 if m == 4 else np.power(np.array([a2]), m / 2.0)[0]
+    return float(unit_ball_volume(m) / (2.0 * m + 4.0) * power
+                 * (m * (m + n) * bigl / s + y2 / (s * s)))
 
 
 def golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
@@ -181,21 +221,28 @@ def golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
     return x, fn(x)
 
 
-def kappa_max(m: int, n: int) -> ConstantReport:
-    """Maximum M_{m,n} of kappa over the unit modified heat ball.
+def kappa_max_value(m: int, n: int) -> float:
+    """M_{m,n} = max kappa over the unit modified heat ball, in closed form:
+    |B_1| (2 pi/e) (2(m+n)(m+2) / ((4 pi e)(m-2)))^{m/2} (m(m+n)/(m-2)),
+    attained at y = 0, s* = (4 pi e^{(m+2)/(m-2)})^{-1}.  kappa_max
+    cross-checks it."""
+    if m < 3:
+        raise ValueError("m must be at least 3")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return (unit_ball_volume(m) * (2.0 * math.pi / math.e)
+            * (2.0 * (m + n) * (m + 2.0)
+               / ((4.0 * math.pi * math.e) * (m - 2.0))) ** (m / 2.0)
+            * (m * (m + n) / (m - 2.0)))
 
-    closedForm: |B_1| (2 pi/e) (2(m+n)(m+2) / ((4 pi e)(m-2)))^{m/2}
-    (m(m+n)/(m-2)), attained at y = 0, s* = (4 pi e^{(m+2)/(m-2)})^{-1}.
+
+def kappa_max(m: int, n: int) -> ConstantReport:
+    """M_{m,n} of kappa_max_value with its cross-check.
+
     crossCheck: golden-section maximization over s at y = 0, after a grid
     verification that kappa decreases in |y|.
     """
-    if m < 3:
-        raise ValueError("m must be at least 3")
-    vb = unit_ball_volume(m)
-    closed = (vb * (2.0 * math.pi / math.e)
-              * (2.0 * (m + n) * (m + 2.0)
-                 / ((4.0 * math.pi * math.e) * (m - 2.0))) ** (m / 2.0)
-              * (m * (m + n) / (m - 2.0)))
+    closed = kappa_max_value(m, n)
     s_star = 1.0 / (4.0 * math.pi * math.exp((m + 2.0) / (m - 2.0)))
 
     def profile(s: float) -> float:
@@ -335,11 +382,11 @@ def assemble_cp_heat(omega: Box, p: float) -> ConstantReport:
     sigma = min(float(np.min(hw[:n])) / math.sqrt(n / (2.0 * math.pi * math.e)),
                 math.sqrt(8.0 * math.pi * hw[n]))
     R2 = sigma / 2.0
-    mreport = kappa_max(m, n)
-    ctil = pmvi_constant(mreport.closed_form, sys, p)
+    M = kappa_max_value(m, n)
+    ctil = pmvi_constant(M, sys, p)
     return _cp_report(f"c_p[heat,n={n},m={m},p={p:g}]", p, kn, R1, R2, n + 2,
                       ctil, heatball_shrink(s1, R2, n),
-                      {"n": n, "m": m, "M": mreport.closed_form,
+                      {"n": n, "m": m, "M": M,
                        "inradius_box": rho, "inradius_heat": sigma})
 
 

@@ -70,6 +70,7 @@ from .constants import (
     heatball_unit_volume_exact,
     heatball_unit_volume_quad,
     kappa,
+    kappa_max_value,
     kappa_max,
     golden_max,
     adjoint_constant,
@@ -449,7 +450,7 @@ def _suite_mvi_family(cfg, seed):
     yield sid, rep.violations == 0, rep.worst_margin
 
     sid = "mvi/modified-tenth-constant-fails"
-    M = kappa_max(3, 1).closed_form
+    M = kappa_max_value(3, 1)
     rep = check_modified_heatball_mvi(one3, 3, centers, budget=budget,
                                       seed=seed(sid), constant=M / 10.0)
     yield sid, rep.violations == rep.trials, -rep.worst_margin

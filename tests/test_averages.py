@@ -1,11 +1,12 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpbounds import quadrature
+from lpbounds import averages, quadrature
 from lpbounds.geometry import (
     BallSystem,
     Box,
@@ -550,6 +551,37 @@ def test_slice_sampler_stays_inside_heatball(n, seed):
     assert np.all(hb.contains(pts))
     assert np.all(s > 0) and np.all(s <= SMAX)
     assert np.all(w > 0)
+
+
+def _volume_bits() -> str:
+    """sha256 of |E(1)|'s value, standard error and sample count for
+    n = 1, 2, 3 at seeds 0 and 7; 150,001 samples end in a ragged batch."""
+    vals = []
+    for n in (1, 2, 3):
+        for seed in (0, 7):
+            res = heatball_unit_volume(n, budget=150_001, seed=seed)
+            assert res.method == "mc-slice-importance"
+            vals += [res.value, res.std_error, res.samples]
+    return hashlib.sha256(np.array(vals, dtype=float).tobytes()).hexdigest()
+
+
+_VOLUME_BITS = ("6711fbbdbbce5abb8abd5d1ab12cac41"
+                "69fdeb44bba44f5b9896ad5f17b8a410")
+
+
+def test_heatball_unit_volume_bits_pinned():
+    assert _volume_bits() == _VOLUME_BITS
+
+
+def test_heatball_unit_volume_draws_weights_only(monkeypatch):
+    # the volume reads only the importance weight, so it must not draw the
+    # slice offsets y; each batch has its own generator, so skipping that
+    # draw changes no bit
+    def no_draw(*args):
+        raise AssertionError("unit_ball_points drawn for the volume")
+
+    monkeypatch.setattr(averages, "unit_ball_points", no_draw)
+    assert _volume_bits() == _VOLUME_BITS
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -130,6 +131,64 @@ def test_kappa_max_grid(m, n):
     rep = kappa_max(m, n)
     assert rep.rel_gap <= 1e-6
     assert abs(rep.inputs["s_star"] - rep.inputs["s_star_numeric"]) <= 1e-8
+
+
+def _bits(values) -> str:
+    """sha256 of the float64 bytes of values: a pin on every bit."""
+    return hashlib.sha256(np.array(values, dtype=float).tobytes()).hexdigest()
+
+
+def test_kappa_max_bits_pinned():
+    # the closed form, the golden-search cross-check and both maximizers of
+    # every (m, n) in 3..6 x 1..3, bit for bit
+    vals = []
+    for m in (3, 4, 5, 6):
+        for n in (1, 2, 3):
+            rep = kappa_max(m, n)
+            vals += [rep.closed_form, rep.cross_check, rep.inputs["s_star"],
+                     rep.inputs["s_star_numeric"]]
+    assert _bits(vals) == ("791d93ac165bfe70034ff9e13ad897cb"
+                           "c6f9d73833cb48a9d7e9315a2ac46090")
+
+
+def _slice_radius(m: int, n: int, s: float) -> float:
+    return math.sqrt(2.0 * s * (m + n) * math.log(1.0 / (4.0 * math.pi * s)))
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kappa_one_point_matches_the_array_path(m, n):
+    # kappa at one point (y of shape (n,), s a scalar) keeps the bits of a
+    # one-row batch: random interior points, slice edges, the top s = SMAX,
+    # y = 0, and the apex (0, 0)
+    rng = np.random.default_rng(10 * m + n)
+    origin = np.zeros(n)
+    cases = [(origin, SMAX), (origin, 0.0), (origin, 1e-12),
+             (origin, SMAX * (1.0 - 1e-12))]
+    for _ in range(100):
+        s = SMAX * rng.random()
+        direction = rng.standard_normal(n)
+        direction /= np.linalg.norm(direction)
+        rho = _slice_radius(m, n, s)
+        cases += [(rho * rng.random() ** (1.0 / n) * direction, s),
+                  (rho * direction, s), (origin, s)]
+    for y, s in cases:
+        one = kappa(m, n, y, s)
+        row = kappa(m, n, y[None, :], np.array([s]))
+        assert type(one) is float
+        assert one.hex() == float(row[0]).hex(), (y, s)
+
+
+@pytest.mark.parametrize("y, s", [
+    ([0.0], math.nan), ([math.nan], 0.0), ([math.nan], 0.01),
+    ([0.0], math.inf), ([math.inf], 0.01)])
+def test_kappa_raises_on_a_nan_or_infinite_point(y, s):
+    # a NaN age failed neither range test, and a NaN offset at age zero
+    # passed the |y| > 0 test, so both came out as kappa = 0.0
+    with pytest.raises(ValueError, match="outside the modified heat ball"):
+        kappa(3, 1, y, s)
+    with pytest.raises(ValueError, match="outside the modified heat ball"):
+        kappa(3, 1, np.array([y]), np.array([s]))
 
 
 def test_adjoint_constant_cross_check_and_guards():

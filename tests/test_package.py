@@ -135,6 +135,21 @@ def test_no_public_parameter_is_a_fixed_knob():
     assert knobs == []
 
 
+def test_no_value_only_read_of_kappa_max():
+    # kappa_max runs a golden-section search for its cross-check; a caller
+    # that reads only the closed form calls kappa_max_value instead
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "closed_form"
+                    and isinstance(node.value, ast.Call)):
+                func = node.value.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name == "kappa_max":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_no_numeric_function_takes_threads():
     # the thread count reaches Monte Carlo only through the pool of a
     # quadrature._workers block, so no function below the CLI and the

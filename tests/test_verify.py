@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from lpbounds import averages, constants, counterexamples, quadrature, verify
+from lpbounds.fields import quadratic_field
+from lpbounds.geometry import Box
 from lpbounds.verify import (
     CheckResult,
     SUITE_NAMES,
@@ -282,6 +284,31 @@ def test_kappa_boundary_check_fails_on_nan_kernel(monkeypatch):
                         math.nan if s > 0 else real(m, n, y, s))
     c = _small_check("constants-audit", "constants/kappa-boundary-zero")
     assert not c.passed and type(c.margin) is float
+
+
+def test_value_only_callers_run_no_golden_search(monkeypatch):
+    # the assembled heat c_p, the modified MVI check and the heat-thm and
+    # mvi-family suites read only M_{m,n}'s closed form, so none of them
+    # may run kappa_max's golden-section cross-check
+    calls = []
+    real = constants.golden_max
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(constants, "golden_max", counted)
+    constants.kappa_max(3, 1)
+    assert len(calls) == 1  # the counter sees a search
+    calls.clear()
+    square = Box((0.0, 0.0), (1.0, 1.0))
+    constants.assemble_cp_heat(square, 0.5)
+    averages.check_modified_heatball_mvi(
+        quadratic_field(2, spatial=True, domain=square), 3, [(0.5, 0.9)],
+        budget=2000)
+    for name in ("heat-thm", "mvi-family"):
+        run_suite(name, {"budget": 2000, "trials": 20, "samples": 64})
+    assert calls == []
 
 
 def test_pmeans_suite_passes():
