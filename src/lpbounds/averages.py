@@ -100,7 +100,7 @@ def _heatball_mean(u, center: np.ndarray, reach: float, m: int, value,
     """mc_mean of value(y, s, w) over unit heat-ball slice samples.
 
     The slices use the kernel dimension m + n.  Raises unless reach > 0 and
-    the heat ball E_m(center; reach) lies in u's domain (u = None: no check).
+    the heat ball E_m(center; reach) lies in u's domain.
     """
     if reach <= 0:
         raise ValueError("radius must be positive")

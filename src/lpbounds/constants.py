@@ -142,12 +142,13 @@ def kappa(m: int, n: int, y, s):
     if n < 1:
         raise ValueError("n must be at least 1")
     yarr = np.asarray(y, dtype=float)
-    if yarr.ndim <= 1 and np.ndim(s) == 0:
-        return _kappa_point(m, n, yarr.reshape(-1), s)
+    sarr = np.asarray(s, dtype=float)
+    if yarr.ndim <= 1 and sarr.ndim == 0:
+        return _kappa_point(m, n, yarr.reshape(-1), float(sarr))
     yarr = np.atleast_2d(yarr)
     if yarr.shape[1] != n:
         raise ValueError(f"y must have {n} coordinates")
-    sarr = np.broadcast_to(np.asarray(s, dtype=float), (len(yarr),)).copy()
+    sarr = np.broadcast_to(sarr, (len(yarr),)).copy()
     out = np.zeros(len(yarr))
     if not np.all((sarr >= 0.0) & (sarr <= SMAX * (1.0 + 1e-12))):
         raise ValueError(_OUTSIDE)
@@ -163,23 +164,22 @@ def kappa(m: int, n: int, y, s):
         a2 = np.maximum(a2, 0.0)
         out[pos] = (unit_ball_volume(m) / (2.0 * m + 4.0) * a2 ** (m / 2.0)
                     * (m * (m + n) * bigl / ss + y2 / ss**2))
-    if not np.all(pos):
+    if np.any(~pos):
         y2z = np.sum(yarr[~pos] ** 2, axis=1)
         if not np.all(y2z == 0.0):
             raise ValueError(_OUTSIDE)
     return out
 
 
-def _kappa_point(m: int, n: int, y: np.ndarray, s) -> float:
-    """kappa at one point, without array set-up, in the batch path's
-    operation order.  s is an np.float64, so a zero divisor gives inf or
-    NaN as in the batch.  The bits agree because |y|^2 sums left to right
-    as np.sum does, np.log runs on an np.float64, and A~^m is a2 * a2 at
-    m = 4 (NumPy's square, as a2 ** 2.0 is) and np.power on a one-element
-    array otherwise (Python's ** rounds differently)."""
+def _kappa_point(m: int, n: int, y: np.ndarray, s: float) -> float:
+    """kappa at one point, on Python floats, in the batch path's operation
+    order.  The bits agree because |y|^2 sums left to right as np.sum does,
+    np.log runs on an np.float64, A~^m is a2 * a2 at m = 4 (NumPy's square,
+    as a2 ** 2.0 is) and np.power on a one-element array otherwise
+    (Python's ** rounds differently), and |y|^2/s^2 divides by an
+    np.float64, so an underflowed s^2 gives inf or NaN as in the batch."""
     if len(y) != n:
         raise ValueError(f"y must have {n} coordinates")
-    s = np.float64(s)
     if not 0.0 <= s <= SMAX * (1.0 + 1e-12):
         raise ValueError(_OUTSIDE)
     y2 = 0.0
@@ -189,15 +189,15 @@ def _kappa_point(m: int, n: int, y: np.ndarray, s) -> float:
         if not y2 == 0.0:
             raise ValueError(_OUTSIDE)
         return 0.0
-    bigl = np.log(1.0 / (4.0 * math.pi * s))
+    bigl = float(np.log(np.float64(1.0 / (4.0 * math.pi * s))))
     a2 = 2.0 * s * (m + n) * bigl - y2
     scale = max(2.0 * s * (m + n) * max(bigl, 0.0), 1e-300)
     if not a2 >= -1e-9 * scale:
         raise ValueError(_OUTSIDE)
     a2 = max(a2, 0.0)
-    power = a2 * a2 if m == 4 else np.power(np.array([a2]), m / 2.0)[0]
+    power = a2 * a2 if m == 4 else float(np.power(np.array([a2]), m / 2.0)[0])
     return float(unit_ball_volume(m) / (2.0 * m + 4.0) * power
-                 * (m * (m + n) * bigl / s + y2 / (s * s)))
+                 * (m * (m + n) * bigl / s + y2 / np.float64(s * s)))
 
 
 def golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
