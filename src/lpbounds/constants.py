@@ -24,6 +24,7 @@ from .geometry import (
     heatball_shrink,
     system_shrink,
     unit_ball_volume,
+    _as_points,
     _lattice,
 )
 from .fields import bump_function
@@ -40,7 +41,7 @@ __all__ = [
     "kappa",
     "kappa_max_value",
     "kappa_max",
-    "golden_max",
+    "bracket_max",
     "adjoint_constant",
     "assemble_cp_laplace",
     "assemble_cp_heat",
@@ -124,31 +125,24 @@ def k_heat(n: int, budget: int = 200_000, seed: int = 0) -> ConstantReport:
 _OUTSIDE = "point outside the modified heat ball"
 
 
-def kappa(m: int, n: int, y, s):
+def kappa(m: int, n: int, y, s) -> np.ndarray:
     """Kernel of the modified heat-ball mean value property.
 
     kappa_{m,n}(y, s) = |B_1|/(2m+4) A~^m (m(m+n) L/s + |y|^2/s^2) with
     A~^2 = 2 s (m+n) L - |y|^2, L = log(1/(4 pi s)), and |B_1| the unit
     ball volume of R^m (the dimension of the integrated-out variables).
-    Zero on the boundary A~ = 0 and extended by 0 at (0, 0).  A point
-    outside the ball, or with a NaN coordinate, raises ValueError.
-
-    One point (y of shape (n,), s a scalar) returns a float, computed on
-    scalars with the bits of a one-row batch (see _kappa_point); a batch
-    returns an array.
+    y is an (N, n) batch and s an (N,) array of ages or one age for every
+    row; returns an (N,) array.  Zero on the boundary A~ = 0 and extended
+    by 0 at (0, 0); at y = 0 the |y|^2/s^2 term is 0 even where s^2
+    underflows.  A point outside the ball, or with a NaN coordinate,
+    raises ValueError.
     """
     if m < 3:
         raise ValueError("m must be at least 3")
     if n < 1:
         raise ValueError("n must be at least 1")
-    yarr = np.asarray(y, dtype=float)
-    sarr = np.asarray(s, dtype=float)
-    if yarr.ndim <= 1 and sarr.ndim == 0:
-        return _kappa_point(m, n, yarr.reshape(-1), float(sarr))
-    yarr = np.atleast_2d(yarr)
-    if yarr.shape[1] != n:
-        raise ValueError(f"y must have {n} coordinates")
-    sarr = np.broadcast_to(sarr, (len(yarr),)).copy()
+    yarr = _as_points(y, n)
+    sarr = np.broadcast_to(np.asarray(s, dtype=float), (len(yarr),))
     out = np.zeros(len(yarr))
     if not np.all((sarr >= 0.0) & (sarr <= SMAX * (1.0 + 1e-12))):
         raise ValueError(_OUTSIDE)
@@ -162,8 +156,9 @@ def kappa(m: int, n: int, y, s):
         if not np.all(a2 >= -1e-9 * scale):
             raise ValueError(_OUTSIDE)
         a2 = np.maximum(a2, 0.0)
+        offset = np.divide(y2, ss**2, out=np.zeros_like(y2), where=y2 > 0.0)
         out[pos] = (unit_ball_volume(m) / (2.0 * m + 4.0) * a2 ** (m / 2.0)
-                    * (m * (m + n) * bigl / ss + y2 / ss**2))
+                    * (m * (m + n) * bigl / ss + offset))
     if np.any(~pos):
         y2z = np.sum(yarr[~pos] ** 2, axis=1)
         if not np.all(y2z == 0.0):
@@ -171,54 +166,23 @@ def kappa(m: int, n: int, y, s):
     return out
 
 
-def _kappa_point(m: int, n: int, y: np.ndarray, s: float) -> float:
-    """kappa at one point, on Python floats, in the batch path's operation
-    order.  The bits agree because |y|^2 sums left to right as np.sum does,
-    np.log runs on an np.float64, A~^m is a2 * a2 at m = 4 (NumPy's square,
-    as a2 ** 2.0 is) and np.power on a one-element array otherwise
-    (Python's ** rounds differently), and |y|^2/s^2 divides by an
-    np.float64, so an underflowed s^2 gives inf or NaN as in the batch."""
-    if len(y) != n:
-        raise ValueError(f"y must have {n} coordinates")
-    if not 0.0 <= s <= SMAX * (1.0 + 1e-12):
-        raise ValueError(_OUTSIDE)
-    y2 = 0.0
-    for c in y.tolist():
-        y2 += c * c
-    if s == 0.0:
-        if not y2 == 0.0:
-            raise ValueError(_OUTSIDE)
-        return 0.0
-    bigl = float(np.log(np.float64(1.0 / (4.0 * math.pi * s))))
-    a2 = 2.0 * s * (m + n) * bigl - y2
-    scale = max(2.0 * s * (m + n) * max(bigl, 0.0), 1e-300)
-    if not a2 >= -1e-9 * scale:
-        raise ValueError(_OUTSIDE)
-    a2 = max(a2, 0.0)
-    power = a2 * a2 if m == 4 else float(np.power(np.array([a2]), m / 2.0)[0])
-    return float(unit_ball_volume(m) / (2.0 * m + 4.0) * power
-                 * (m * (m + n) * bigl / s + y2 / np.float64(s * s)))
-
-
-def golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal function on [lo, hi], in
-    160 steps."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+def bracket_max(fn, lo: float, hi: float) -> tuple[float, float]:
+    """(argmax, max) of a unimodal fn on [lo, hi].  fn maps an array of
+    abscissae to an array of values.  Each round evaluates fn once on 65
+    evenly spaced points of the bracket and keeps the two cells around the
+    largest value, until the bracket no longer shrinks.  A NaN value
+    returns a NaN maximum."""
     a, b = float(lo), float(hi)
-    c1 = b - invphi * (b - a)
-    c2 = a + invphi * (b - a)
-    f1, f2 = fn(c1), fn(c2)
-    for _ in range(160):
-        if f1 < f2:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + invphi * (b - a)
-            f2 = fn(c2)
-        else:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - invphi * (b - a)
-            f1 = fn(c1)
-    x = (a + b) / 2.0
-    return x, fn(x)
+    while True:
+        x = np.linspace(a, b, 65)
+        f = np.asarray(fn(x), dtype=float)
+        i = int(np.argmax(f))  # the first NaN, if there is one
+        if math.isnan(f[i]):
+            return float(x[i]), math.nan
+        na, nb = float(x[max(i - 1, 0)]), float(x[min(i + 1, 64)])
+        if not nb - na < b - a:
+            return float(x[i]), float(f[i])
+        a, b = na, nb
 
 
 def kappa_max_value(m: int, n: int) -> float:
@@ -239,16 +203,14 @@ def kappa_max_value(m: int, n: int) -> float:
 def kappa_max(m: int, n: int) -> ConstantReport:
     """M_{m,n} of kappa_max_value with its cross-check.
 
-    crossCheck: golden-section maximization over s at y = 0, after a grid
-    verification that kappa decreases in |y|.
+    crossCheck: bracket_max over s at y = 0, after a grid verification
+    that kappa decreases in |y|.
     """
     closed = kappa_max_value(m, n)
     s_star = 1.0 / (4.0 * math.pi * math.exp((m + 2.0) / (m - 2.0)))
 
-    def profile(s: float) -> float:
-        return kappa(m, n, np.zeros(n), s)
-
-    s_num, cross = golden_max(profile, 1e-12, SMAX * (1.0 - 1e-12))
+    s_num, cross = bracket_max(lambda s: kappa(m, n, np.zeros((len(s), n)), s),
+                               1e-12, SMAX * (1.0 - 1e-12))
 
     # kappa must not exceed the y = 0 value anywhere on the s* slice
     bigl = math.log(1.0 / (4.0 * math.pi * s_star))

@@ -5,7 +5,7 @@ numeric margin (positive = slack before failure) and the seed that
 reproduces the statement.  A statement's seed is (config seed +
 crc32(statement id)) mod 2^31, so a single check can be re-run in
 isolation.  Two exceptions: 30 deterministic checks of constants-audit and
-counterexamples (the k-laplace, regression, kappa, golden-max, table-shape,
+counterexamples (the k-laplace, regression, kappa, bracket-max, table-shape,
 comb, target-bound and hessian-family ids) record the config seed, and
 prop-general/l1-lower[field=i] records the seed of the field it integrates,
 prop-general/field[i].  Other deterministic checks, such as the
@@ -72,7 +72,7 @@ from .constants import (
     kappa,
     kappa_max_value,
     kappa_max,
-    golden_max,
+    bracket_max,
     adjoint_constant,
     assemble_cp_laplace,
     assemble_cp_heat,
@@ -494,14 +494,12 @@ def _suite_constants_audit(cfg, seed):
     svals = np.array([0.2, 0.5, 0.9]) * SMAX
     vals = [0.0]
     for m, n in ((3, 1), (4, 2)):
-        d = m + n
-        origin = np.zeros(n)
-        for s in svals:
-            edge = origin.copy()
-            edge[0] = math.sqrt(2.0 * d * s * math.log(SMAX / s))
-            vals.append(abs(kappa(m, n, edge, s)))
-        vals.append(abs(kappa(m, n, origin, SMAX)))
-        if kappa(m, n, origin, 0.0) != 0.0:
+        edges = np.zeros((len(svals), n))
+        edges[:, 0] = np.sqrt(2.0 * (m + n) * svals * np.log(SMAX / svals))
+        vals += list(np.abs(kappa(m, n, edges, svals)))
+        top, apex = kappa(m, n, np.zeros((2, n)), np.array([SMAX, 0.0]))
+        vals.append(abs(top))
+        if apex != 0.0:
             vals.append(1.0)
     worst = _worst(vals)
     yield sid, worst <= 1e-12, 1e-12 - worst, seed0
@@ -515,10 +513,10 @@ def _suite_constants_audit(cfg, seed):
                   and rep.inputs["y_slice_monotone"])
             yield sid, ok, 1e-6 - rep.rel_gap, seed0
 
-    sid = "constants/golden-max-known-argmax"
+    sid = "constants/bracket-max-known-argmax"
     # the maximizer behind kappa_max, audited on s e^{-s} (argmax 1, max 1/e);
     # value comparisons at a flat peak cap argmax resolution near sqrt(eps)
-    x, v = golden_max(lambda t: t * math.exp(-t), 0.0, 5.0)
+    x, v = bracket_max(lambda t: t * np.exp(-t), 0.0, 5.0)
     err = _worst([abs(x - 1.0) * 1e-6, abs(v - math.exp(-1.0))])
     yield sid, err <= 1e-12, 1e-12 - err, seed0
 

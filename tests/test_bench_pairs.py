@@ -51,9 +51,9 @@ def test_unpaired_runs_are_refused():
         bench_pairs.summarize(PARENT, PARENT[:9], "lower")
 
 
-def _run(wall, failed=0, correct=True, digest="d0"):
+def _run(wall, failed=0, correct=True, digest="d0", attempted=10):
     return {"metrics": {"wall_s": wall}, "correct": correct,
-            "failed": failed, "digest": digest}
+            "attempted": attempted, "failed": failed, "digest": digest}
 
 
 def test_voids_name_each_pair_the_change_run_makes_worse():
@@ -62,11 +62,19 @@ def test_voids_name_each_pair_the_change_run_makes_worse():
     change = [_run(1.0), _run(1.0, failed=2, correct=False),
               _run(1.0, failed=1, correct=False), _run(1.0, digest="d1")]
     assert bench_pairs.voids(parent, change) == [
-        "pair 2: change failed 1, parent 0",
+        "pair 2: change failed 1 of 10, parent 0 of 10",
         "pair 2: change run not correct",
         "pair 3: digests differ: d0 vs d1",
     ]
     assert bench_pairs.voids(parent[:2], change[:2]) == []
+    # the void rule compares failure shares: a faster change run that fails
+    # more operations at the same share, 21/84 against 19/76, is not void
+    parent = [_run(0.9, failed=19, correct=False, attempted=76),
+              _run(0.9, failed=1, correct=False)]
+    change = [_run(0.7, failed=21, correct=False, attempted=84),
+              _run(0.7, failed=2, correct=False)]
+    assert bench_pairs.voids(parent, change) == [
+        "pair 1: change failed 2 of 10, parent 1 of 10"]
 
 
 def test_gain_reads_void_when_a_change_run_fails_more(tmp_path, monkeypatch,
@@ -92,7 +100,7 @@ def test_gain_reads_void_when_a_change_run_fails_more(tmp_path, monkeypatch,
     out = capsys.readouterr().out
     row = next(ln for ln in out.splitlines() if ln.startswith("wall_s"))
     assert row.split()[-2:] == ["10/10", "void"]
-    assert "VOID: pair 4: change failed 1, parent 0" in out
+    assert "VOID: pair 4: change failed 1 of 10, parent 0 of 10" in out
     assert set(lengths) == {7}
     with pytest.raises(SystemExit):
         bench_pairs.main([str(parent), str(change), "--workload", "lp-thm",
@@ -127,7 +135,8 @@ def test_main_prints_one_regressed_line_per_metric(tmp_path, monkeypatch,
         cpu = 1.2 * wall if tree == change else wall
         return {"metrics": {"wall_s": wall, "setup_s": setup,
                             "cpu_s": cpu},
-                "correct": True, "failed": 0, "digest": "d0"}
+                "correct": True, "attempted": 10, "failed": 0,
+                "digest": "d0"}
 
     monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
     bench_pairs.main([str(parent), str(change), "--workload", "heat-deriv"])

@@ -136,7 +136,7 @@ def test_no_public_parameter_is_a_fixed_knob():
 
 
 def test_no_value_only_read_of_kappa_max():
-    # kappa_max runs a golden-section search for its cross-check; a caller
+    # kappa_max runs a bracket search for its cross-check; a caller
     # that reads only the closed form calls kappa_max_value instead
     found = []
     for path in sorted(SRC.glob("*.py")):

@@ -104,7 +104,7 @@ STATEMENT_IDS = {
            "constants/kappa-boundary-zero"]
         + [f"constants/kappa-max[m={m},n={n}]"
            for m in (3, 4, 5, 6) for n in (1, 2, 3)]
-        + ["constants/golden-max-known-argmax",
+        + ["constants/bracket-max-known-argmax",
            "constants/adjoint-laplace",
            "constants/adjoint-scaling",
            "constants/assemble-laplace-positive",
@@ -163,7 +163,7 @@ BASE_SEED_IDS = (
        "constants/kappa-boundary-zero"]
     + [f"constants/kappa-max[m={m},n={n}]"
        for m in (3, 4, 5, 6) for n in (1, 2, 3)]
-    + ["constants/golden-max-known-argmax",
+    + ["constants/bracket-max-known-argmax",
        "constants/table-shape"]
     + [f"ce/comb-measure[delta=1/{2**k}]" for k in (2, 3, 4, 5)]
     + ["ce/comb-separation",
@@ -271,33 +271,33 @@ def test_hessian_family_fails_on_nan_sup_row(monkeypatch):
     assert not passed["ce/hessian-family-sup-decade"]
 
 
-def test_golden_max_check_fails_on_nan_value(monkeypatch):
-    monkeypatch.setattr(verify, "golden_max",
+def test_bracket_max_check_fails_on_nan_value(monkeypatch):
+    monkeypatch.setattr(verify, "bracket_max",
                         lambda *args, **kwargs: (1.0, math.nan))
-    c = _small_check("constants-audit", "constants/golden-max-known-argmax")
+    c = _small_check("constants-audit", "constants/bracket-max-known-argmax")
     assert not c.passed and type(c.margin) is float
 
 
 def test_kappa_boundary_check_fails_on_nan_kernel(monkeypatch):
     real = verify.kappa
-    monkeypatch.setattr(verify, "kappa", lambda m, n, y, s:
-                        math.nan if s > 0 else real(m, n, y, s))
+    monkeypatch.setattr(verify, "kappa", lambda m, n, y, s: np.where(
+        np.asarray(s) > 0, math.nan, real(m, n, y, s)))
     c = _small_check("constants-audit", "constants/kappa-boundary-zero")
     assert not c.passed and type(c.margin) is float
 
 
-def test_value_only_callers_run_no_golden_search(monkeypatch):
+def test_value_only_callers_run_no_bracket_search(monkeypatch):
     # the assembled heat c_p, the modified MVI check and the heat-thm and
     # mvi-family suites read only M_{m,n}'s closed form, so none of them
-    # may run kappa_max's golden-section cross-check
+    # may run kappa_max's bracket-search cross-check
     calls = []
-    real = constants.golden_max
+    real = constants.bracket_max
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(constants, "golden_max", counted)
+    monkeypatch.setattr(constants, "bracket_max", counted)
     constants.kappa_max(3, 1)
     assert len(calls) == 1  # the counter sees a search
     calls.clear()

@@ -17,9 +17,10 @@ summary gives each side's median and quartiles, the change's wins out of N
 (ties count for neither side) and the gain rule: at least ten pairs, the
 change wins at least nine tenths of them, and the medians differ, in the
 better direction, by more than the parent's interquartile range.  The
-gain reads "void" on every metric when any pair's change run failed more
-operations than its parent run, was not correct when the parent run was,
-or printed a different output digest; each such pair is listed.  One
+gain reads "void" on every metric when any pair's change run failed a
+larger share of its operations than its parent run, was not correct when
+the parent run was, or printed a different output digest; each such pair
+is listed.  One
 ``REGRESSED:`` line names each metric whose change median is worse than
 the parent median by more than the metric's ``bound`` in the parent's
 BENCHMARK.json, as a fraction of the parent median.  The summary also
@@ -69,15 +70,18 @@ def regressed(s: dict, better: str, bound: float) -> bool:
 
 
 def voids(parent, change) -> list[str]:
-    """One line per pair whose change run voids a gain: it failed more
-    operations than its parent run, was not correct when the parent run
-    was, or printed a different output digest.  parent and change are
+    """One line per pair whose change run voids a gain: it failed a larger
+    share of its operations than its parent run, was not correct when the
+    parent run was, or printed a different output digest.  A faster run
+    attempts more operations in the same time, so counts alone would void
+    it on a seed that fails on both sides.  parent and change are
     run_bench results, paired by index."""
     lines = []
     for i, (p, c) in enumerate(zip(parent, change)):
-        if c["failed"] > p["failed"]:
-            lines.append(f"pair {i}: change failed {c['failed']}, "
-                         f"parent {p['failed']}")
+        if c["failed"] * p["attempted"] > p["failed"] * c["attempted"]:
+            lines.append(f"pair {i}: change failed {c['failed']} of "
+                         f"{c['attempted']}, parent {p['failed']} of "
+                         f"{p['attempted']}")
         if p["correct"] and not c["correct"]:
             lines.append(f"pair {i}: change run not correct")
         if c["digest"] != p["digest"]:
@@ -88,7 +92,8 @@ def voids(parent, change) -> list[str]:
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run from the checkout at tree: its metric
-    values, correct flag, failed operations and output digest."""
+    values, correct flag, attempted and failed operations and output
+    digest."""
     proc = subprocess.run(
         [sys.executable, str(tree / "bench" / "run.py"), "--workload",
          workload, "--seed", str(seed), "--seconds", str(seconds),
@@ -101,8 +106,8 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     digest = next(ln.split()[1] for ln in lines
                   if ln.strip().startswith("output_digest"))
     return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
-            "correct": result["correct"], "failed": result["failed"],
-            "digest": digest}
+            "correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"], "digest": digest}
 
 
 def _fmt(q) -> str:
