@@ -180,7 +180,7 @@ def bracket_max(fn, lo: float, hi: float) -> tuple[float, float]:
         if math.isnan(f[i]):
             return float(x[i]), math.nan
         na, nb = float(x[max(i - 1, 0)]), float(x[min(i + 1, 64)])
-        if not nb - na < b - a:
+        if nb - na >= b - a:
             return float(x[i]), float(f[i])
         a, b = na, nb
 

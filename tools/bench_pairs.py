@@ -20,10 +20,9 @@ better direction, by more than the parent's interquartile range.  The
 gain reads "void" on every metric when any pair's change run failed a
 larger share of its operations than its parent run, was not correct when
 the parent run was, or printed a different output digest; each such pair
-is listed.  One
-``REGRESSED:`` line names each metric whose change median is worse than
-the parent median by more than the metric's ``bound`` in the parent's
-BENCHMARK.json, as a fraction of the parent median.  The summary also
+is listed.  One ``REGRESSED:`` line names each metric whose change median
+is worse than the parent median by more than the metric's ``bound`` in
+the parent's BENCHMARK.json, as a fraction of the parent median.  The summary also
 lists the seeds and every run that reported ``correct: false``.
 """
 
