@@ -69,27 +69,48 @@ def field_sum(fields: Sequence[ScalarField], coeffs: Sequence[float] | None = No
     c = [1.0] * len(fields) if coeffs is None else [float(v) for v in coeffs]
 
     def fn(pts):
-        return sum(ci * f.fn(pts) for ci, f in zip(c, fields))
+        return _weighted_sum(c, (f.fn(pts) for f in fields))
 
     grad_fn = None
     hess_fn = None
     if all(f.grad_fn is not None for f in fields):
         def grad_fn(pts):
-            return sum(ci * f.grad_fn(pts) for ci, f in zip(c, fields))
+            return _weighted_sum(c, (f.grad_fn(pts) for f in fields))
     if all(f.hess_fn is not None for f in fields):
         def hess_fn(pts):
-            return sum(ci * f.hess_fn(pts) for ci, f in zip(c, fields))
+            return _weighted_sum(c, (f.hess_fn(pts) for f in fields))
     dom = next((f.domain for f in fields if f.domain is not None), None)
     return ScalarField(d, fn, grad_fn, hess_fn, domain=dom, name=name)
+
+
+def _weighted_sum(coeffs, values) -> np.ndarray:
+    """sum(c * v for c, v in zip(coeffs, values)), bit for bit, accumulated
+    in place: the first term is 0 + c_0 v_0, which turns -0.0 into 0.0 as
+    sum() does, and each later part makes one temporary, c_k v_k.  A buffer
+    reused for those products would stay live beside the parts' outputs and
+    fault in fresh pages on large batches."""
+    pairs = zip(coeffs, values)
+    c0, v0 = next(pairs)
+    acc = c0 * v0
+    acc += 0.0
+    for ck, vk in pairs:
+        acc += ck * vk
+    return acc
 
 
 def polynomial_field(coeffs: dict[tuple[int, ...], float], dim: int | None = None,
                      domain: Box | None = None, name: str = "poly") -> ScalarField:
     """Multivariate polynomial sum_alpha c_alpha x^alpha with exact derivatives.
 
-    Each fn, grad_fn or hess_fn call computes every power k >= 2 it reads once,
-    as pts ** e_k (e_k is k in the columns read at k, else 0), and multiplies
-    a term's columns left to right, bit-equal to np.prod(pts ** e, axis=1).
+    Each fn, grad_fn or hess_fn call builds one power ladder for its batch,
+    x_i^1 = x_i and x_i^k = x_i^(k-1) * x_i, up to the highest power of each
+    column that the call reads, and multiplies a term's columns left to
+    right, then by its coefficient.  A term of total degree D then costs D
+    correctly rounded products (a derivative's falling-factorial coefficient
+    counts its own), so without underflow or overflow every entry is within
+    (D + T) u sum_alpha |c_alpha x^alpha| of its exact value, where D is the
+    table's total degree, T the number of terms the entry sums, c_alpha x^alpha
+    the entry's exact terms and u = 2^-53 (Higham 2002, sections 3.1 and 4.2).
     """
     if not coeffs:
         raise ValueError("empty coefficient table")
@@ -114,18 +135,25 @@ def polynomial_field(coeffs: dict[tuple[int, ...], float], dim: int | None = Non
                 if min(e) >= 0 and coef != 0.0:
                     plan.append((coef, [(i, ei) for i, ei in enumerate(e) if ei]))
             plans.append((ix, plan))
-        read = {f for _, plan in plans for _, cols in plan for f in cols}
-        exps = {k: np.array([k if (i, k) in read else 0 for i in range(d)])
-                for k in {k for _, k in read} - {1}}
+        top = [0] * d  # highest power of each column that a term reads
+        for _, plan in plans:
+            for _, cols in plan:
+                for i, k in cols:
+                    top[i] = max(top[i], k)
 
         def call(pts):
-            pw = {k: pts**e for k, e in exps.items()}
+            ladder = []  # ladder[i][k - 1] is x_i^k
+            for i, k in enumerate(top):
+                xs = [pts[:, i]] if k else []
+                for _ in range(k - 1):
+                    xs.append(xs[-1] * pts[:, i])
+                ladder.append(xs)
             res = np.empty((len(pts),) + (d,) * order)
             for ix, plan in plans:
                 out = np.zeros(len(pts))
                 for coef, cols in plan:
                     if cols:
-                        xs = [pts[:, i] if k == 1 else pw[k][:, i] for i, k in cols]
+                        xs = [ladder[i][k - 1] for i, k in cols]
                         coef = coef * math.prod(xs[1:], start=xs[0])
                     out += coef
                 if not order:
@@ -183,35 +211,46 @@ def harmonic_polynomial_field(pairs: Sequence[tuple[int, complex]],
 
     Exactly harmonic; derivatives come from the complex derivative, so the
     Hessian is trace-free to rounding.  w is filled from (x-cx) * (1/scale)
-    and (y-cy) * (1/scale), the products NumPy's complex-by-real division
-    forms.  A power-0 term adds its coefficient and a power-1 term
-    multiplies w itself, as g * w ** 0 and g * w ** 1 would at finite
-    points.  Powers k >= 2 stay w ** k: NumPy's small-integer power loop
-    rounds unlike a product of w's.
+    and (y-cy) * (1/scale).  At construction, equal powers merge into one
+    dense coefficient list per derivative order; each call evaluates its
+    list by Horner's rule in place.  To first order in u = 2^-53, each value
+    and derivative entry of order r is within
+    (7n + 7 + m) u sum_j |c_j| |w|^j / scale^r of its exact value, where the
+    c_j are the order-r series' coefficients before merging, n its top
+    power, m the most pairs that share a power and w exact (Higham 2002,
+    sections 3.6 and 5.1): rounding w costs 3u per power of w, each Horner
+    step at most sqrt(2) gamma_2 + u, and forming, merging and scaling the
+    coefficients the rest.
     """
     ks = [int(k) for k, _ in pairs]
-    gs = [complex(g) for _, g in pairs]
+    if min(ks) < 0:
+        raise ValueError("powers must be nonnegative")
     cx, cy = (float(center[0]), float(center[1]))
     s = float(scale)
     inv = 1.0 / s
-    # (coefficient, power of w) of the value and of the first and second
-    # complex derivatives, with the coefficients as the derivatives form them
-    series = ([(g, k) for k, g in zip(ks, gs)],
-              [(g * k, k - 1) for k, g in zip(ks, gs) if k >= 1],
-              [(g * k * (k - 1), k - 2) for k, g in zip(ks, gs) if k >= 2])
+    # dense coefficients, power 0 first, of the value and of the first and
+    # second complex derivatives, with the coefficients as the derivatives
+    # form them and equal powers summed in pair order
+    top = max(ks)
+    series = ([0j] * (top + 1), [0j] * top, [0j] * (top - 1))
+    for k, g in zip(ks, (complex(g) for _, g in pairs)):
+        series[0][k] += g
+        if k >= 1:
+            series[1][k - 1] += g * k
+        if k >= 2:
+            series[2][k - 2] += g * k * (k - 1)
 
     def sum_of(pts, order):
+        cs = series[order]
+        if not cs:
+            return np.zeros(len(pts), dtype=complex)
         w = np.empty(len(pts), dtype=complex)
         w.real = (pts[:, 0] - cx) * inv
         w.imag = (pts[:, 1] - cy) * inv
-        acc = np.zeros(len(pts), dtype=complex)
-        for c, j in series[order]:
-            if j == 0:
-                acc += c
-            elif j == 1:
-                acc += c * w
-            else:
-                acc += c * w**j
+        acc = np.full(len(pts), cs[-1])
+        for c in cs[-2::-1]:
+            acc *= w
+            acc += c
         return acc
 
     def fn(pts):
@@ -348,14 +387,20 @@ def heat_kernel_field(n: int, source: Sequence[float],
     def fn(pts):
         return _log_kernel_derivs(pts, src, n, 0)[0]
 
+    # u dg and u (dg dg^T + hg), zero for s <= t0, each formed in one buffer
     def grad_fn(pts):
         u, dg, _, ok = _log_kernel_derivs(pts, src, n, 1)
-        return np.where(ok[:, None], u[:, None] * dg, 0.0)
+        dg *= u[:, None]
+        dg[~ok] = 0.0
+        return dg
 
     def hess_fn(pts):
         u, dg, hg, ok = _log_kernel_derivs(pts, src, n, 2)
-        h = u[:, None, None] * (dg[:, :, None] * dg[:, None, :] + hg)
-        return np.where(ok[:, None, None], h, 0.0)
+        h = dg[:, :, None] * dg[:, None, :]
+        h += hg
+        h *= u[:, None, None]
+        h[~ok] = 0.0
+        return h
 
     return ScalarField(n + 1, fn, grad_fn, hess_fn, domain=domain,
                        name="heat-kernel")

@@ -143,3 +143,58 @@ def test_main_prints_one_regressed_line_per_metric(tmp_path, monkeypatch,
     out = capsys.readouterr().out
     assert [ln for ln in out.splitlines() if ln.startswith("REGRESSED")] == [
         "REGRESSED: setup_s +43.7%, bound 25%"]
+
+
+def _main_out(tmp_path, monkeypatch, capsys, fake_change, *flags):
+    """main's output over ten pairs whose change runs fake_change(seed)
+    builds, against parent runs of PARENT[seed] with digest d0."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir(exist_ok=True)
+    (parent / "BENCHMARK.json").write_text(
+        '{"run_seconds": 7, "end_to_end": '
+        '[{"name": "wall_s", "better": "lower"}]}')
+
+    def fake_run(tree, workload, seed, seconds):
+        return _run(PARENT[seed]) if tree == parent else fake_change(seed)
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    bench_pairs.main([str(parent), str(change), "--workload", "lp-thm",
+                      *flags])
+    return capsys.readouterr().out
+
+
+def test_declared_output_change_turns_digest_mismatch_into_no_void(
+        tmp_path, monkeypatch, capsys):
+    # every change run prints a new digest; without the flag the gain is
+    # void, with it the gain stands and each pair gets a DIGEST: line
+    def fake_change(seed):
+        return _run(PARENT[seed] - 0.5, digest="d1")
+
+    out = _main_out(tmp_path, monkeypatch, capsys, fake_change)
+    row = next(ln for ln in out.splitlines() if ln.startswith("wall_s"))
+    assert row.split()[-1] == "void"
+    assert "VOID: pair 0: digests differ: d0 vs d1" in out
+    out = _main_out(tmp_path, monkeypatch, capsys, fake_change,
+                    "--declared-output-change")
+    row = next(ln for ln in out.splitlines() if ln.startswith("wall_s"))
+    assert row.split()[-2:] == ["10/10", "yes"]
+    assert "VOID" not in out
+    assert [ln for ln in out.splitlines() if ln.startswith("DIGEST:")] == [
+        f"DIGEST: pair {i}: digests differ: d0 vs d1" for i in range(10)]
+
+
+def test_declared_output_change_keeps_the_failure_share_void(
+        tmp_path, monkeypatch, capsys):
+    # a change run that fails a larger share still voids the gain
+    def fake_change(seed):
+        return _run(PARENT[seed] - 0.5, failed=int(seed == 4),
+                    digest="d1")
+
+    out = _main_out(tmp_path, monkeypatch, capsys, fake_change,
+                    "--declared-output-change")
+    row = next(ln for ln in out.splitlines() if ln.startswith("wall_s"))
+    assert row.split()[-1] == "void"
+    assert [ln for ln in out.splitlines() if ln.startswith("VOID:")] == [
+        "VOID: pair 4: change failed 1 of 10, parent 0 of 10"]
+    assert bench_pairs.voids([_run(1.5)], [_run(1.0, correct=False)],
+                             True) == ["pair 0: change run not correct"]

@@ -1,4 +1,7 @@
+import itertools
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -287,7 +290,6 @@ def test_laplacian_operator_image_is_bit_identical_to_trace():
 def _polynomial_families():
     """(label, field) for every family built on polynomial_field, at every
     dimension the package uses: d = 1 through monomial_field, 2-4 else."""
-    from fractions import Fraction
     from lpbounds.counterexamples import build_comb, ccw_target
 
     out = [(f"caloric-{k}-d{d}", polynomial_field(fields._heat_terms(k, 0, d)))
@@ -317,63 +319,66 @@ def _pinned_points(d):
 
 
 # First 16 hex digits of the SHA-256 of fn, grad_fn and hess_fn output bytes
-# on _pinned_points.  The last bits of pts ** e come from NumPy's pow loops,
-# so these digests belong to one NumPy build and CPU (NumPy 2.4, AVX-512).
+# on _pinned_points.  The power ladder and the sums are correctly rounded
+# IEEE products and additions in a fixed order, so the pure polynomial
+# digests hold on any NumPy build and CPU.  The caloric-<seed>-n<n> digests
+# also take np.exp and np.log from the heat kernels, whose last bits belong
+# to one NumPy build and CPU (NumPy 2.4, AVX-512).
 _POLYNOMIAL_DIGESTS = {
     "caloric-0-d2": "d6fb83dbe031c9dc",
     "caloric-1-d2": "a05aa72a4b1e101a",
-    "caloric-2-d2": "778efa843def9692",
-    "caloric-3-d2": "67c4301b90d16e53",
-    "caloric-4-d2": "0a3a8ce836108117",
+    "caloric-2-d2": "f190637b36666b46",
+    "caloric-3-d2": "2e6c3e3d77e49934",
+    "caloric-4-d2": "290a609b380bd65a",
     "caloric-0-d3": "bfd61a44c0609e2d",
     "caloric-1-d3": "a1bc995949ebac5f",
-    "caloric-2-d3": "db0490407fec8057",
-    "caloric-3-d3": "0ba266d4ff9cc9d6",
-    "caloric-4-d3": "21cc075df1bdab4f",
+    "caloric-2-d3": "505a0000487ffe0a",
+    "caloric-3-d3": "20b7f431dcfb03f7",
+    "caloric-4-d3": "cf4b94cef64fe7f8",
     "caloric-0-d4": "20733bf3c56179e6",
     "caloric-1-d4": "b9bb9b741d33ec04",
-    "caloric-2-d4": "3a06580f727d0240",
-    "caloric-3-d4": "da7ed65214d326fb",
-    "caloric-4-d4": "e14d496684b4a38b",
+    "caloric-2-d4": "7e2aec80ce953c86",
+    "caloric-3-d4": "62fca103fa625fcf",
+    "caloric-4-d4": "d671d4ff43fd775d",
     "quadratic-d1": "734266db92441e42",
-    "quadratic-d2": "ffabc5f4d03216fe",
-    "quadratic-d3": "9c2573960301df70",
-    "quadratic-d4": "87c20382e92bc854",
-    "quadratic-spatial-d2": "86eaeec607a34ef7",
-    "quadratic-spatial-d3": "314c6e0fdf3d6ede",
-    "quadratic-spatial-d4": "ed2f37fd6bba9023",
-    "quadratic-centred": "59dc71a431751c19",
+    "quadratic-d2": "51d5d9d911bfb79e",
+    "quadratic-d3": "1fbffee7994e62be",
+    "quadratic-d4": "e19f7e29d7b58db7",
+    "quadratic-spatial-d2": "575362ae016cc9f1",
+    "quadratic-spatial-d3": "984601663a2b1eab",
+    "quadratic-spatial-d4": "9e73490a89178f02",
+    "quadratic-centred": "9e79efca8dbfbf2a",
     "x^0": "fc562d66da9d608d",
     "x^1": "1981d5266f501792",
     "x^2": "cbf60d31cfd16573",
-    "x^3": "7eedc67a3ffcdda6",
-    "x^4": "784445f49db01f7a",
-    "x^5": "610cef24cac2d88a",
-    "x^6": "b78013b29bf1f12b",
-    "x^7": "52fab8b65c1c53e0",
-    "x^8": "675d7152914beb39",
+    "x^3": "4f4ba2a62f255d1a",
+    "x^4": "c6212d95e92135f2",
+    "x^5": "3fe4a81ee32f21cc",
+    "x^6": "8bba831e84dec6df",
+    "x^7": "7ae805b1815bde30",
+    "x^8": "aea25bfc43523237",
     "neg-time-n1": "9ee543239203bef8",
     "neg-time-n2": "2d8c6e6c2d6bcbca",
     "neg-time-n3": "3c68569e791049ff",
-    "heat-one-0-n1": "00b6eaaef5937646",
-    "caloric-0-n1": "e8654f35de0b9e89",
-    "heat-one-1-n1": "e77c8e471010e4ea",
-    "caloric-1-n1": "2574c506e5f5fbb0",
-    "heat-one-2-n1": "6eab157058ee3a31",
-    "caloric-2-n1": "e66551cf3320b805",
-    "heat-one-0-n2": "974bafc0071b4741",
-    "caloric-0-n2": "d4e626e64af48fd1",
-    "heat-one-1-n2": "6b81c700d890cc54",
-    "caloric-1-n2": "767f004b427d8cbd",
-    "heat-one-2-n2": "445e23197641d213",
-    "caloric-2-n2": "3f943f8f673bea7c",
-    "heat-one-0-n3": "adec08b18ffa77f3",
-    "caloric-0-n3": "0ca0ae7200e658d1",
-    "heat-one-1-n3": "8f198b66eee2d016",
-    "caloric-1-n3": "6b4b6003f008a664",
-    "heat-one-2-n3": "f9315d78a8ada23a",
-    "caloric-2-n3": "35aec750204c6380",
-    "t^2/2": "863e9a1985d7f8d5",
+    "heat-one-0-n1": "7a53e4ea437dea31",
+    "caloric-0-n1": "74e186a16fe01798",
+    "heat-one-1-n1": "6e286b93dbc9fddd",
+    "caloric-1-n1": "f778440375d30358",
+    "heat-one-2-n1": "e3da2e3513c7c240",
+    "caloric-2-n1": "591bfa0f0600aeaf",
+    "heat-one-0-n2": "1281dc4fddad1f79",
+    "caloric-0-n2": "d8939f7c13adfc32",
+    "heat-one-1-n2": "4e6c8f30e207eb8f",
+    "caloric-1-n2": "1186c8fe78173a0b",
+    "heat-one-2-n2": "6b58e55f24826ded",
+    "caloric-2-n2": "6b133a0ee9c72144",
+    "heat-one-0-n3": "90924f708bf1ed9c",
+    "caloric-0-n3": "a1a5e63f906fc800",
+    "heat-one-1-n3": "f78685dd2ded4040",
+    "caloric-1-n3": "a8e5d9683f500052",
+    "heat-one-2-n3": "b315237f70cb8dea",
+    "caloric-2-n3": "62cb9e832cba5490",
+    "t^2/2": "bb7324229ce3fad0",
 }
 
 
@@ -397,7 +402,6 @@ def _harmonic_families():
     """(label, field, centre) for every field built on
     harmonic_polynomial_field: random_harmonic and random_laplace_one on the
     unit square and on an off-centre box, and the counterexample fit."""
-    from fractions import Fraction
     from lpbounds.counterexamples import build_comb, ccw_target, fit_harmonic
 
     out = []
@@ -424,22 +428,25 @@ def _centre_line_points(centre):
     return pts
 
 
-# _field_digest on _centre_line_points of each harmonic family; like
-# _POLYNOMIAL_DIGESTS they belong to one NumPy build and CPU
+# _field_digest on _centre_line_points of each harmonic family.  They still
+# belong to one NumPy build and CPU (NumPy 2.4, AVX-512): NumPy's complex
+# multiply loop, which Horner's rule runs, fuses a product into the
+# add or subtract (FMA) on that CPU and differs from the unfused
+# ar*br - ai*bi in the last bit at about a quarter of random operands.
 _HARMONIC_DIGESTS = {
-    "harmonic-0-square": "13dabe46ce0569f8",
-    "laplace-one-0-square": "49d1c3f73157a833",
-    "harmonic-1-square": "e79233f54544e280",
-    "laplace-one-1-square": "2f8e475181e65470",
-    "harmonic-2-square": "628e2c227c1c7005",
-    "laplace-one-2-square": "6c1fa185db4b993d",
-    "harmonic-0-offset": "3e96fa322ee3b9a3",
-    "laplace-one-0-offset": "cc5893ddc0ae45b3",
-    "harmonic-1-offset": "b15431be21bb8e0e",
-    "laplace-one-1-offset": "9b996f18a89d811c",
-    "harmonic-2-offset": "aa81e71f3d9bfae3",
-    "laplace-one-2-offset": "7e7aaa9e4bef42a6",
-    "ccw-fit-10": "b3e24a6e34a66103",
+    "harmonic-0-square": "f228256c6a6934bd",
+    "laplace-one-0-square": "18f616e7ea727645",
+    "harmonic-1-square": "78a95f3f9fbcf7c0",
+    "laplace-one-1-square": "311cf222a3d8514a",
+    "harmonic-2-square": "2dd93125c91e89c0",
+    "laplace-one-2-square": "66e925cae760464a",
+    "harmonic-0-offset": "631784afe6f8070d",
+    "laplace-one-0-offset": "e5981f7f32fefe87",
+    "harmonic-1-offset": "34b095aa13db2740",
+    "laplace-one-1-offset": "59a1ee7e93af9ef9",
+    "harmonic-2-offset": "65abec9fdd051825",
+    "laplace-one-2-offset": "93b932f8e9264027",
+    "ccw-fit-10": "5d73d71516de63b3",
 }
 
 
@@ -520,6 +527,62 @@ def test_heat_families_match_per_part_reference(n):
                 assert np.max(np.abs(a - b)) <= tol, (new.name, attr)
 
 
+def _reference_field_sum(parts, coeffs=None, name="sum"):
+    """field_sum before it summed in place: sum(c * f(pts) ...) per entry."""
+    c = [1.0] * len(parts) if coeffs is None else [float(v) for v in coeffs]
+
+    def combine(attr):
+        return lambda pts: sum(ci * getattr(f, attr)(pts)
+                               for ci, f in zip(c, parts))
+
+    return ScalarField(parts[0].dim, combine("fn"), combine("grad_fn"),
+                       combine("hess_fn"), name=name)
+
+
+def _reference_heat_kernel_field(n, source, domain=None):
+    """heat_kernel_field before it reused its buffers: out-of-place
+    products and np.where."""
+    src = tuple(float(v) for v in source)
+
+    def grad_fn(pts):
+        u, dg, _, ok = _log_kernel_derivs(pts, src, n, 1)
+        return np.where(ok[:, None], u[:, None] * dg, 0.0)
+
+    def hess_fn(pts):
+        u, dg, hg, ok = _log_kernel_derivs(pts, src, n, 2)
+        h = u[:, None, None] * (dg[:, :, None] * dg[:, None, :] + hg)
+        return np.where(ok[:, None, None], h, 0.0)
+
+    return ScalarField(n + 1, lambda pts: _log_kernel_derivs(pts, src, n, 0)[0],
+                       grad_fn, hess_fn, domain=domain)
+
+
+def test_in_place_sums_keep_the_bytes(monkeypatch):
+    # field_sum and heat_kernel_field accumulate in place, with the bytes
+    # of the out-of-place formulas, rows below the pole time included; -x
+    # at x = 0 is 0 + (-1.0 * 0.0) = +0.0 in sum()
+    def build():
+        out = [random_caloric(0, n=n) for n in (1, 2, 3)]
+        out += [fields.heat_kernel_field(n, (0.3,) * n + (-0.4,))
+                for n in (1, 2, 3)]
+        out.append(fields.field_sum([monomial_field(1)], [-1.0]))
+        out.append(random_laplace_one(0))
+        out.append(counterexamples.assemble_ccw_witness(
+            Fraction(1, 8), 10, budget=1_000)["field"])
+        return out
+
+    new = build()
+    for module in (fields, counterexamples):
+        monkeypatch.setattr(module, "field_sum", _reference_field_sum)
+    monkeypatch.setattr(fields, "heat_kernel_field",
+                        _reference_heat_kernel_field)
+    for f, ref in zip(new, build()):
+        pts = _pinned_points(f.dim)
+        for attr in ("fn", "grad_fn", "hess_fn"):
+            a, b = getattr(f, attr)(pts), getattr(ref, attr)(pts)
+            assert a.tobytes() == b.tobytes(), (f.name, attr)
+
+
 def _reference_polynomial_field(coeffs, dim=None, domain=None, name="poly"):
     """polynomial_field before power tables: every term of every entry
     raises all d columns, np.prod(pts ** e, axis=1)."""
@@ -565,34 +628,59 @@ def _special_points(d, n=2048):
     return np.random.default_rng(d).choice(vals, size=(n, d))
 
 
-def _assert_same_bits(new, ref, pts, label):
+_U = 2.0**-53
+
+
+def _assert_within_bound(coeffs, d, pts, label):
+    """polynomial_field of coeffs against the per-term reference at pts.
+
+    An entry that is NaN, infinite or zero on either path must have the same
+    bytes on both.  Any other entry must agree to the stated bound of both
+    paths: each is within (D + T) u S of the exact value, where S is
+    sum_alpha |c_alpha x^alpha|, and the reference's d np.power calls and
+    d - 1 products over all columns add at most 3 u S per column."""
+    new = polynomial_field(coeffs, dim=d)
+    ref = _reference_polynomial_field(coeffs, dim=d)
+    # the reference with |c_alpha| at |x| gives S for every entry
+    mag = _reference_polynomial_field({a: abs(c) for a, c in coeffs.items()},
+                                      dim=d)
+    tol = (2 * (max(sum(a) for a in coeffs) + len(coeffs)) + 3 * d) * _U
     with np.errstate(all="ignore"):
         for attr in ("fn", "grad_fn", "hess_fn"):
             a, b = getattr(new, attr)(pts), getattr(ref, attr)(pts)
             assert a.shape == b.shape and a.dtype == b.dtype, (label, attr)
-            assert np.array_equal(a, b, equal_nan=True), (label, attr)
-            assert a.tobytes() == b.tobytes(), (label, attr)
+            special = ~np.isfinite(b) | (b == 0.0)
+            assert np.array_equal(special, ~np.isfinite(a) | (a == 0.0))
+            assert a[special].tobytes() == b[special].tobytes(), (label, attr)
+            bound = tol * getattr(mag, attr)(np.abs(pts))
+            assert np.all(np.abs(a - b)[~special] <= bound[~special]), \
+                (label, attr)
 
 
 def test_polynomial_field_matches_reference_path(monkeypatch):
-    # every family in use, d = 1 to 4: the same bytes as the per-term path
-    new = _polynomial_families()
-    monkeypatch.setattr(fields, "polynomial_field", _reference_polynomial_field)
-    monkeypatch.setattr(counterexamples, "polynomial_field",
-                        _reference_polynomial_field)
-    for (label, f), (_, ref) in zip(new, _polynomial_families()):
-        _assert_same_bits(f, ref, _pinned_points(f.dim), label)
+    # every table the families in use build, d = 1 to 4, agrees with the
+    # per-term path to the stated bound
+    build, tables = fields.polynomial_field, []
+
+    def record(coeffs, dim=None, domain=None, name="poly"):
+        tables.append(coeffs)
+        return build(coeffs, dim, domain, name)
+
+    for module in (fields, counterexamples):
+        monkeypatch.setattr(module, "polynomial_field", record)
+    monkeypatch.setitem(globals(), "polynomial_field", record)
+    _polynomial_families()
+    monkeypatch.undo()
+    assert len(tables) == 54  # one per family
     # tables the CLI and the suites build directly: deriv-check's quartics,
     # the constant fields, l1-linear's fields and the pmeans line
-    tables = [{(4,) + (0,) * (n - 1): 1.0} for n in (1, 2, 3)]
+    tables += [{(4,) + (0,) * (n - 1): 1.0} for n in (1, 2, 3)]
     tables += [{(0,) * d: 1.0} for d in (1, 2, 3, 4)]
     tables += [{(1, 1): 1.0}, {(1, 1): 1.0, (2, 2): 0.25},
                {(1, 1): 1.0, (3, 1): 1.0 / 6.0}, {(1,): 1.0, (0,): 0.5}]
     for coeffs in tables:
         d = len(next(iter(coeffs)))
-        _assert_same_bits(polynomial_field(coeffs, dim=d),
-                          _reference_polynomial_field(coeffs, dim=d),
-                          _pinned_points(d), coeffs)
+        _assert_within_bound(coeffs, d, _pinned_points(d), coeffs)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -602,10 +690,119 @@ def test_polynomial_field_matches_reference_on_special_values(d):
         coeffs = {tuple(int(v) for v in rng.integers(0, 6, d)):
                   float(rng.choice([0.0, -0.0, 1.0, -2.5, rng.normal()]))
                   for _ in range(int(rng.integers(1, 7)))}
-        f = polynomial_field(coeffs, dim=d)
-        ref = _reference_polynomial_field(coeffs, dim=d)
         for pts in (_special_points(d), _pinned_points(d)):
-            _assert_same_bits(f, ref, pts, coeffs)
+            _assert_within_bound(coeffs, d, pts, coeffs)
+
+
+def _exact_polynomial_entries(coeffs, d, x):
+    """{slot: (exact entry, S, T)} of the table's value (slot ()), gradient
+    (slot (i,)) and Hessian (slot (i, j), i <= j) at the float point x, with
+    S = sum |c_alpha x^alpha| over the entry's T terms, in Fractions."""
+    xs = [Fraction(v) for v in x]
+    out = {}
+    for order in range(3):
+        for ix in itertools.combinations_with_replacement(range(d), order):
+            val = mag = Fraction(0)
+            count = 0
+            for a, c in coeffs.items():
+                e = [ai - ix.count(i) for i, ai in enumerate(a)]
+                if min(e) < 0 or c == 0.0:
+                    continue
+                t = Fraction(c) * math.prod(
+                    math.perm(ai, ai - ei) * xi**ei
+                    for ai, ei, xi in zip(a, e, xs))
+                val += t
+                mag += abs(t)
+                count += 1
+            out[ix] = (val, mag, count)
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_polynomial_field_within_stated_bound(d):
+    # random tables of total degree <= 5, evaluated exactly: every value,
+    # gradient and Hessian entry is within (D + T) u S of the exact entry
+    rng = np.random.default_rng(20 + d)
+    for trial in range(8):
+        coeffs = {}
+        for _ in range(int(rng.integers(1, 7))):
+            alpha = rng.multinomial(int(rng.integers(0, 6)), [1.0 / d] * d)
+            coeffs[tuple(int(v) for v in alpha)] = float(rng.normal())
+        top = max(sum(a) for a in coeffs)
+        f = polynomial_field(coeffs, dim=d)
+        pts = np.vstack([_pinned_points(d)[:8],
+                         rng.uniform(-1.5, 1.5, (24, d))])
+        got = (f.fn(pts), f.grad_fn(pts), f.hess_fn(pts))
+        for p, x in enumerate(pts):
+            exact = _exact_polynomial_entries(coeffs, d, x)
+            for ix, (val, mag, count) in exact.items():
+                err = abs(Fraction(float(got[len(ix)][(p,) + ix])) - val)
+                assert err <= (top + count) * Fraction(_U) * mag, \
+                    (coeffs, x, ix)
+
+
+def _exact_harmonic_entries(pairs, center, scale, x):
+    """[(re, im, B) for orders 0, 1, 2] at the float point x: the exact
+    order-r complex derivative of sum gamma_k w^k over scale^r, in
+    Fractions, and the stated bound (7n + 7 + m) u sum_j |c_j| |w|^j /
+    scale^r as a float, with n the series' top power and m the most pairs
+    that share a power."""
+    s = Fraction(scale)
+    wr = (Fraction(x[0]) - Fraction(center[0])) / s
+    wi = (Fraction(x[1]) - Fraction(center[1])) / s
+    absw = math.hypot(float(wr), float(wi))
+    m = max(Counter(k for k, _ in pairs).values())
+    out = []
+    for r in range(3):
+        re = im = Fraction(0)
+        mag, top = 0.0, 0
+        for k, g in pairs:
+            if k < r:
+                continue
+            c = math.perm(k, r)
+            pr, pi = Fraction(1), Fraction(0)
+            for _ in range(k - r):
+                pr, pi = pr * wr - pi * wi, pr * wi + pi * wr
+            gr, gi = Fraction(g.real) * c, Fraction(g.imag) * c
+            re += gr * pr - gi * pi
+            im += gr * pi + gi * pr
+            mag += abs(g) * c * absw ** (k - r)
+            top = max(top, k - r)
+        out.append((re / s**r, im / s**r,
+                    (7 * top + 7 + m) * _U * mag / scale**r))
+    return out
+
+
+def test_harmonic_field_within_stated_bound():
+    # random series of degree <= 12, some powers repeated, and
+    # fit_harmonic's degree-10 fit, evaluated exactly; rows 8-23 of each
+    # point set lie on the lines through the centre
+    from lpbounds.counterexamples import build_comb, ccw_target, fit_harmonic
+
+    rng = np.random.default_rng(30)
+    cases = []
+    for trial in range(6):
+        ks = rng.integers(0, 13, int(rng.integers(1, 9)))
+        pairs = [(int(k), complex(rng.normal(), rng.normal()) / 2.0**k)
+                 for k in ks]
+        cases.append((pairs, tuple(rng.uniform(-1, 1, 2)),
+                      float(rng.uniform(0.5, 2.0))))
+    comb = build_comb(Fraction(1, 8))
+    fit = fit_harmonic(ccw_target(comb), comb, 10)
+    cases.append((list(enumerate(fit.gammas)), fit.center, fit.scale))
+    for pairs, center, scale in cases:
+        f = harmonic_polynomial_field(pairs, center=center, scale=scale)
+        pts = _centre_line_points(center)[:48]
+        v, g, h = f.fn(pts), f.grad_fn(pts), f.hess_fn(pts)
+        for p, x in enumerate(pts):
+            (r0, _, b0), (r1, i1, b1), (r2, i2, b2) = \
+                _exact_harmonic_entries(pairs, center, scale, x)
+            checks = [(v[p], r0, b0), (g[p, 0], r1, b1), (g[p, 1], -i1, b1),
+                      (h[p, 0, 0], r2, b2), (h[p, 0, 1], -i2, b2),
+                      (h[p, 1, 0], -i2, b2), (h[p, 1, 1], -r2, b2)]
+            for got, want, bound in checks:
+                assert float(abs(Fraction(float(got)) - want)) <= bound, \
+                    (pairs, x)
 
 
 @pytest.mark.parametrize("alpha", [(-1,), (1.5,), (2, -1), (1, 0.5)])

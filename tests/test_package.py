@@ -162,3 +162,25 @@ def test_no_numeric_function_takes_threads():
                     and "threads" in inspect.signature(fn).parameters):
                 found.append(f"{module}.{name}")
     assert found == ["quadrature._workers"]
+
+
+def test_field_evaluation_takes_no_powers():
+    # polynomial_field and harmonic_polynomial_field evaluate powers by
+    # multiplication (a power ladder and Horner's rule); no function nested
+    # in them may raise to a power, by ** or by a pow/power call
+    tree = ast.parse((SRC / "fields.py").read_text())
+    found = []
+    for top in tree.body:
+        if not (isinstance(top, ast.FunctionDef) and top.name in
+                ("polynomial_field", "harmonic_polynomial_field")):
+            continue
+        for inner in ast.walk(top):
+            if inner is top or not isinstance(inner, ast.FunctionDef):
+                continue
+            for node in ast.walk(inner):
+                func = getattr(node, "func", None)
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if (isinstance(getattr(node, "op", None), ast.Pow)
+                        or name in ("pow", "power", "float_power")):
+                    found.append(f"{top.name}.{inner.name}:{node.lineno}")
+    assert found == []

@@ -3,7 +3,7 @@
 Usage:
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W
-        [--pairs N] [--seeds 0,1,...]
+        [--pairs N] [--seeds 0,1,...] [--declared-output-change]
 
 Pair i runs ``bench/run.py --workload W --seed S --seconds T --trace 0``
 from each checkout, the parent first when i is even and the change first
@@ -20,9 +20,13 @@ better direction, by more than the parent's interquartile range.  The
 gain reads "void" on every metric when any pair's change run failed a
 larger share of its operations than its parent run, was not correct when
 the parent run was, or printed a different output digest; each such pair
-is listed.  One ``REGRESSED:`` line names each metric whose change median
-is worse than the parent median by more than the metric's ``bound`` in
-the parent's BENCHMARK.json, as a fraction of the parent median.  The summary also
+is listed.  With --declared-output-change, for a change that declares
+new output bits, a different digest no longer voids the gain: each such
+pair is listed on a ``DIGEST:`` line instead, while the failure-share and
+correctness voids stay as they are.  One ``REGRESSED:`` line names each
+metric whose change median is worse than the parent median by more than
+the metric's ``bound`` in the parent's BENCHMARK.json, as a fraction of
+the parent median.  The summary also
 lists the seeds and every run that reported ``correct: false``.
 """
 
@@ -68,13 +72,24 @@ def regressed(s: dict, better: str, bound: float) -> bool:
     return sign * (cmed - pmed) < -bound * abs(pmed)
 
 
-def voids(parent, change) -> list[str]:
+def digest_changes(parent, change) -> dict[int, str]:
+    """{pair index: line} of each pair whose runs printed different output
+    digests."""
+    return {i: f"pair {i}: digests differ: {p['digest']} vs {c['digest']}"
+            for i, (p, c) in enumerate(zip(parent, change))
+            if c["digest"] != p["digest"]}
+
+
+def voids(parent, change, declared_output_change: bool = False) -> list[str]:
     """One line per pair whose change run voids a gain: it failed a larger
     share of its operations than its parent run, was not correct when the
-    parent run was, or printed a different output digest.  A faster run
-    attempts more operations in the same time, so counts alone would void
-    it on a seed that fails on both sides.  parent and change are
-    run_bench results, paired by index."""
+    parent run was, or printed a different output digest, unless the
+    change declares an output change.  A faster run attempts more
+    operations in the same time, so counts alone would void it on a seed
+    that fails on both sides.  parent and change are run_bench results,
+    paired by index."""
+    digests = ({} if declared_output_change
+               else digest_changes(parent, change))
     lines = []
     for i, (p, c) in enumerate(zip(parent, change)):
         if c["failed"] * p["attempted"] > p["failed"] * c["attempted"]:
@@ -83,9 +98,8 @@ def voids(parent, change) -> list[str]:
                          f"{p['attempted']}")
         if p["correct"] and not c["correct"]:
             lines.append(f"pair {i}: change run not correct")
-        if c["digest"] != p["digest"]:
-            lines.append(f"pair {i}: digests differ: {p['digest']} vs "
-                         f"{c['digest']}")
+        if i in digests:
+            lines.append(digests[i])
     return lines
 
 
@@ -121,6 +135,9 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seeds", default=None,
                     help="comma-separated seeds (default 0 to pairs - 1)")
+    ap.add_argument("--declared-output-change", action="store_true",
+                    help="list digest differences as DIGEST: lines "
+                         "instead of voiding the gain")
     args = ap.parse_args(argv)
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
@@ -143,7 +160,8 @@ def main(argv=None) -> int:
 
     print(f"\n{args.workload}: {args.pairs} pairs, {seconds:g} s runs, "
           f"seeds {','.join(map(str, used))}; parent first on even pairs")
-    void = voids(runs["parent"], runs["change"])
+    void = voids(runs["parent"], runs["change"],
+                 args.declared_output_change)
     worse = []
     print("metric  parent median [quartiles]  change median [quartiles]  "
           "change  wins  gain")
@@ -163,6 +181,9 @@ def main(argv=None) -> int:
         print(f"REGRESSED: {line}")
     for line in void:
         print(f"VOID: {line}")
+    if args.declared_output_change:
+        for line in digest_changes(runs["parent"], runs["change"]).values():
+            print(f"DIGEST: {line}")
     for side, side_runs in runs.items():
         for i, r in enumerate(side_runs):
             if not r["correct"]:
