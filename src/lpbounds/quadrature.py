@@ -13,12 +13,19 @@ of one pass and splits them into its doubling groups.  Every mean and
 standard error comes from _mean_se.
 QuadResult.ci and agreement hold the package's one 3-standard-error rule.
 
-BATCH_SIZE sizes the random-number batches and the moment reductions;
-EVAL_BLOCK sizes the evaluation.  _blockwise evaluates a row-wise function
-on consecutive EVAL_BLOCK-row slices of a batch into one batch-sized
-output, so the field's temporaries fit in cache and are not handed back to
-the OS between blocks.  A row's value does not depend on its neighbours,
-so no bit depends on EVAL_BLOCK.
+BATCH_SIZE sizes the random-number batches and the moment reductions.
+integrate and pmean_grid run one batch as a loop over REGION_BLOCK-row
+pieces (_region_pieces): each piece is drawn from the batch's generator,
+tested for membership, evaluated at its members and checked for NaN and
+inf, and its values go into the batch's one value array (integrate) or
+its list of accepted values (pmean_grid).  No batch-sized point array is
+ever made.  The averages evaluate their batches on EVAL_BLOCK-row slices
+(_blockwise), each into one batch-sized output, so the field's temporaries
+fit in cache and are not handed back to the OS between blocks.
+Generator.uniform fills the draws in C order, so consecutive pieces
+continue the batch's stream; a row's value does not depend on its
+neighbours, and each batch is still reduced by one np.mean and one np.sum.
+So no bit depends on REGION_BLOCK or EVAL_BLOCK.
 """
 
 from __future__ import annotations
@@ -51,6 +58,16 @@ BATCH_SIZE = 65536
 # rows per evaluation sub-block; of 4096, 8192 and 16384, 8192 was fastest
 # on six of the seven mvi-audit and lp-thm benchmark commands
 EVAL_BLOCK = 8192
+
+# rows per piece of a region batch.  One warm pass of lp-thm's three suites
+# (median of 9 on 2 cores): 8192-row pieces took 0.355 s at --threads 2
+# against 0.315 s here, their numpy calls being too short between GIL
+# handoffs (up to ~14,000 voluntary context switches a pass); 32768-row
+# pieces took 0.285 s at --threads 2 but 0.384 s at --threads 1, against
+# 0.294 s here, with 80,000 to 96,000 minor page faults a pass against
+# ~720.  The averages keep EVAL_BLOCK: 16384 rows there raised heat-deriv's
+# peak RSS from 50.8 to 57.9 MB.
+REGION_BLOCK = 16384
 
 LOG_CLAMP = -700.0
 
@@ -108,8 +125,9 @@ def _moments(vals: np.ndarray) -> tuple[int, float, float]:
     if n == 0:
         return 0, 0.0, 0.0
     mean = float(np.mean(vals))
-    m2 = float(np.sum((vals - mean) ** 2))
-    return n, mean, m2
+    dev = vals - mean
+    dev *= dev  # what ** 2 computes, without a second temporary
+    return n, mean, float(np.sum(dev))
 
 
 @contextmanager
@@ -209,6 +227,21 @@ def _members(region, box, pts: np.ndarray):
     return slice(None) if region is box else region.contains(pts)
 
 
+def _region_pieces(f, region, box, rng: np.random.Generator, count: int):
+    """(start, member, values) for each REGION_BLOCK-row piece of one batch
+    of count draws in box = region.bounding_box() that has a member, in
+    draw order: start is the piece's first row in the batch, member the
+    index of its members (see _members) and values f at them, checked by
+    _finite.  A piece without members calls nothing."""
+    fn = f.fn if hasattr(f, "fn") else f
+    for start in range(0, count, REGION_BLOCK):
+        pts = box.sample(min(REGION_BLOCK, count - start), rng)
+        member = _members(region, box, pts)
+        inside = pts[member]
+        if len(inside):
+            yield start, member, _finite(np.asarray(fn(inside), dtype=float))
+
+
 def integrate(f, region, budget: int = 100_000, seed: int = 0) -> QuadResult:
     """Rejection Monte Carlo integral of f over the region: the mean over
     the region's bounding box of |box| f at members, 0 elsewhere.
@@ -217,19 +250,17 @@ def integrate(f, region, budget: int = 100_000, seed: int = 0) -> QuadResult:
     accepted points.  Raises EmptyRegionError if no draw is accepted and
     ValueError if f is NaN or infinite at an accepted point.
     """
-    fn = f.fn if hasattr(f, "fn") else f
     box = region.bounding_box()
     boxvol = box.measure
 
     def batch(rng: np.random.Generator, count: int):
-        pts = box.sample(count, rng)
-        member = _members(region, box, pts)
-        inside = pts[member]
         vals = np.zeros(count)
-        if len(inside):
-            vals[member] = _blockwise(
-                lambda p: _finite(np.asarray(fn(p), dtype=float)), inside)
-        return _moments(vals * boxvol), len(inside)
+        hits = 0
+        for start, member, piece in _region_pieces(f, region, box, rng, count):
+            vals[start:start + REGION_BLOCK][member] = piece
+            hits += len(piece)
+        vals *= boxvol
+        return _moments(vals), hits
 
     parts = _batches(batch, budget, seed)
     if not any(hits for _, hits in parts):
@@ -341,19 +372,17 @@ def pmean_grid(f, region, ps, budget: int = 100_000,
     if budget < 1000:
         raise ValueError("budget too small for a p-mean (need >= 1000)")
     box = region.bounding_box()
-    fn = f.fn if hasattr(f, "fn") else f
 
-    def accepted(rng: np.random.Generator, count: int) -> np.ndarray:
-        pts = box.sample(count, rng)
-        inside = pts[_members(region, box, pts)]
-        if not len(inside):
-            return np.empty(0)
-        return np.abs(_blockwise(
-            lambda p: _finite(np.asarray(fn(p), dtype=float)), inside))
+    def accepted(rng: np.random.Generator, count: int) -> list[np.ndarray]:
+        return [np.abs(piece, out=piece) for _, _, piece
+                in _region_pieces(f, region, box, rng, count)]
 
-    y = np.concatenate(_batches(accepted, budget, seed))
-    if not len(y):
+    pieces = [piece for batch in _batches(accepted, budget, seed)
+              for piece in batch]
+    if not pieces:
         raise EmptyRegionError("no sample landed in the region")
+    y = np.concatenate(pieces)
+    del pieces  # y holds the same values; free them before the p-means
     return [_pmean_of(y, float(p)) for p in ps]
 
 

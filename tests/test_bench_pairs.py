@@ -198,3 +198,43 @@ def test_declared_output_change_keeps_the_failure_share_void(
         "VOID: pair 4: change failed 1 of 10, parent 0 of 10"]
     assert bench_pairs.voids([_run(1.5)], [_run(1.0, correct=False)],
                              True) == ["pair 0: change run not correct"]
+
+
+def test_aa_pairs_run_after_each_pair_and_get_their_own_summary(
+        tmp_path, monkeypatch, capsys):
+    # each claim pair is followed by an A/A pair of the parent against a
+    # second checkout, in the same order; the A/A summary reads its own
+    # runs: here the second checkout is slower and prints another digest,
+    # so only the A/A summary regresses and reads void
+    parent, change, parent2 = (tmp_path / n for n in
+                               ("parent", "change", "parent2"))
+    parent.mkdir()
+    (parent / "BENCHMARK.json").write_text(
+        '{"run_seconds": 7, "end_to_end": '
+        '[{"name": "wall_s", "better": "lower", "bound": 0.25}]}')
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds):
+        calls.append((tree.name, seed))
+        if tree == change:
+            return _run(PARENT[seed] - 0.5)
+        if tree == parent2:
+            return _run(PARENT[seed] + 0.5, digest="d1")
+        return _run(PARENT[seed])
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    bench_pairs.main([str(parent), str(change), "--workload", "lp-thm",
+                      "--aa", str(parent2)])
+    assert calls[:8] == [("parent", 0), ("change", 0), ("parent", 0),
+                         ("parent2", 0), ("change", 1), ("parent", 1),
+                         ("parent2", 1), ("parent", 1)]
+    assert len(calls) == 40
+    out = capsys.readouterr().out
+    assert "A/A pair 1 seed 1 change: wall_s 2.07" in out
+    rows = [ln.split()[-2:] for ln in out.splitlines()
+            if ln.startswith("wall_s")]
+    assert rows == [["10/10", "yes"], ["0/10", "void"]]
+    aa = out[out.index("\nA/A lp-thm"):]
+    assert "REGRESSED: wall_s +32.8%, bound 25%" in aa
+    assert "VOID: pair 0: digests differ: d0 vs d1" in aa
+    assert "REGRESSED" not in out[:out.index("\nA/A lp-thm")]

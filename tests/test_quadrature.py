@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from lpbounds.averages import (
     modified_heatball_average,
 )
 from lpbounds.counterexamples import hessian_family_check
-from lpbounds.geometry import Box, EuclideanBall
+from lpbounds.geometry import Box, EuclideanBall, Heatball
 from lpbounds.fields import (
     ScalarField,
     monomial_field,
@@ -156,11 +157,11 @@ def test_pmean_grid_splits_one_pass_into_doubling_groups(monkeypatch):
 
 
 class _FullBatchesOnly(_BoxView):
-    """A view of box that accepts draws of full batches only, so a ragged
-    last batch has no accepted draw."""
+    """A view of box that accepts draws of full pieces only, so a ragged
+    last batch, whose one piece is short, has no accepted draw."""
 
     def contains(self, pts):
-        return super().contains(pts) & (len(pts) == quadrature.BATCH_SIZE)
+        return super().contains(pts) & (len(pts) == quadrature.REGION_BLOCK)
 
 
 def test_pmean_grid_batch_without_accepted_draw_evaluates_nothing():
@@ -172,9 +173,9 @@ def test_pmean_grid_batch_without_accepted_draw_evaluates_nothing():
 
     rep, = pmean_grid(fn, _FullBatchesOnly(SQUARE), [1.0],
                       budget=quadrature.BATCH_SIZE + 1000, seed=0)
-    # the full batch is evaluated in sub-blocks; the ragged one not at all
+    # the full batch is evaluated in pieces; the ragged one not at all
     assert sum(sizes) == quadrature.BATCH_SIZE
-    assert max(sizes) <= quadrature.EVAL_BLOCK
+    assert max(sizes) <= quadrature.REGION_BLOCK
     assert rep.samples == quadrature.BATCH_SIZE
 
 
@@ -451,3 +452,199 @@ def test_eval_block_changes_no_bit(name, monkeypatch):
         bits.append(_bits(run()))
     assert bits[1] == bits[0]
     assert bits[2] == bits[0]
+
+
+def _whole_batch_integrate(f, region, budget, seed):
+    """integrate as it was before the piece loop: each batch draws all its
+    points, then evaluates f at every member at once, and its moments
+    square the deviations with ** 2."""
+    fn = f.fn if hasattr(f, "fn") else f
+    box = region.bounding_box()
+    boxvol = box.measure
+
+    def batch(rng, count):
+        pts = box.sample(count, rng)
+        member = quadrature._members(region, box, pts)
+        inside = pts[member]
+        vals = np.zeros(count)
+        if len(inside):
+            vals[member] = quadrature._finite(
+                np.asarray(fn(inside), dtype=float))
+        vals = vals * boxvol
+        mean = float(np.mean(vals))
+        return (count, mean, float(np.sum((vals - mean) ** 2))), len(inside)
+
+    parts = quadrature._batches(batch, budget, seed)
+    if not any(hits for _, hits in parts):
+        raise EmptyRegionError("no sample landed in the region")
+    n, mean, se = quadrature._mean_se([moments for moments, _ in parts])
+    return QuadResult(value=mean, std_error=se, samples=n,
+                      method="mc-rejection")
+
+
+def _whole_batch_pmean_grid(f, region, ps, budget, seed):
+    """pmean_grid as it was before the piece loop: each batch draws all its
+    points, then keeps |f| at its members."""
+    fn = f.fn if hasattr(f, "fn") else f
+    box = region.bounding_box()
+
+    def accepted(rng, count):
+        pts = box.sample(count, rng)
+        inside = pts[quadrature._members(region, box, pts)]
+        if not len(inside):
+            return np.empty(0)
+        return np.abs(np.asarray(fn(inside), dtype=float))
+
+    y = np.concatenate(quadrature._batches(accepted, budget, seed))
+    return [quadrature._pmean_of(y, float(p)) for p in ps]
+
+
+def _raw(result):
+    """Every field of a QuadResult or PMeanReport, or of a list of them,
+    with floats as their bytes."""
+    if isinstance(result, list):
+        return [_raw(r) for r in result]
+    return tuple(np.float64(v).tobytes() if isinstance(v, float) else v
+                 for v in vars(result).values())
+
+
+# two full batches and a ragged third, shorter than one piece
+_RAGGED = 2 * quadrature.BATCH_SIZE + 1000
+_PIECE_REGIONS = {
+    "cube": (SQUARE, _POLY),
+    "box": (Box((0.0, -1.0), (2.0, 0.5)), _POLY),
+    "ball": (EuclideanBall((0.5, 0.5), 0.4), _POLY),
+    "heatball": (Heatball((0.5, 0.9), 0.5), _POLY),
+    "interval": (UNIT, monomial_field(3)),
+}
+
+
+@pytest.mark.parametrize("block", [None, 7 * 1024, quadrature.BATCH_SIZE],
+                         ids=["default", "ragged", "whole"])
+@pytest.mark.parametrize("name", list(_PIECE_REGIONS))
+def test_pieces_match_the_whole_batch_reference(name, block, monkeypatch):
+    # drawing and evaluating a batch piece by piece changes no bit, at the
+    # default piece size, at one that leaves a ragged piece in every full
+    # batch, and at one piece per batch
+    if block is not None:
+        monkeypatch.setattr(quadrature, "REGION_BLOCK", block)
+    region, f = _PIECE_REGIONS[name]
+    pred = lambda p: p[:, 0] * p[:, -1] > 0.1
+    pairs = [(integrate(f, region, _RAGGED, 7),
+              _whole_batch_integrate(f, region, _RAGGED, 7)),
+             (measure(region, budget=_RAGGED, seed=8),
+              _whole_batch_integrate(lambda p: np.ones(len(p)), region,
+                                     _RAGGED, 8)),
+             (measure(region, pred, _RAGGED, 9),
+              _whole_batch_integrate(pred, region, _RAGGED, 9)),
+             (pmean_grid(f, region, [-0.5, 0.0, 0.5, math.inf], _RAGGED, 10),
+              _whole_batch_pmean_grid(f, region, [-0.5, 0.0, 0.5, math.inf],
+                                      _RAGGED, 10))]
+    for got, want in pairs:
+        assert _raw(got) == _raw(want)
+
+
+@pytest.mark.parametrize("region", [SQUARE, EuclideanBall((0.5, 0.5), 0.4)],
+                         ids=["box", "ball"])
+def test_no_draw_or_call_exceeds_one_piece(region, monkeypatch):
+    # the region paths never make a point array, or call the integrand,
+    # on more than REGION_BLOCK rows, and draw the whole budget
+    drawn, called = [], []
+    real_sample = Box.sample
+
+    def sample(self, count, rng):
+        drawn.append(count)
+        return real_sample(self, count, rng)
+
+    def fn(pts):
+        called.append(len(pts))
+        return pts[:, 0] + 1.0
+
+    monkeypatch.setattr(Box, "sample", sample)
+    for run in (lambda: integrate(fn, region, _RAGGED, 1),
+                lambda: measure(region, lambda p: fn(p) > 1.5, _RAGGED, 2),
+                lambda: pmean_grid(fn, region, [0.5], _RAGGED, 3)):
+        drawn.clear()
+        called.clear()
+        run()
+        assert sum(drawn) == _RAGGED
+        assert max(drawn) == quadrature.REGION_BLOCK
+        assert 0 < max(called) <= quadrature.REGION_BLOCK
+
+
+def _nan_in_the_ragged_piece(pts):
+    """pts[:, 0] + 1, NaN at the last row of a 1000-row call: on SQUARE at
+    budget _RAGGED, the one piece of the last batch."""
+    vals = pts[:, 0] + 1.0
+    if len(pts) == 1000:
+        vals[-1] = math.nan
+    return vals
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("region", [SQUARE, _BoxView(SQUARE)],
+                         ids=["box", "view"])
+def test_nan_in_a_later_piece_raises(region, threads):
+    # the last piece of the last batch is checked like the first
+    with quadrature._workers(threads):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            integrate(_nan_in_the_ragged_piece, region, _RAGGED)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            pmean_grid(_nan_in_the_ragged_piece, region, [0.5], _RAGGED)
+
+
+class _SmallDisc:
+    """A disc of radius 0.004 about (0.5, 0.5) drawn in SQUARE: under one
+    hit per piece on average, so some pieces have none.  hits records the
+    members of each tested array."""
+
+    def __init__(self):
+        self.hits = []
+
+    def bounding_box(self):
+        return SQUARE
+
+    def contains(self, pts):
+        inside = np.hypot(pts[:, 0] - 0.5, pts[:, 1] - 0.5) < 0.004
+        self.hits.append(int(np.count_nonzero(inside)))
+        return inside
+
+
+def test_a_piece_without_hits_still_integrates():
+    # a piece with no member calls nothing, and the batch keeps its zeros
+    called = []
+
+    def fn(pts):
+        called.append(len(pts))
+        return pts[:, 0] + 1.0
+
+    region = _SmallDisc()
+    want = _whole_batch_integrate(fn, region, _RAGGED, 4)
+    region.hits.clear()
+    called.clear()
+    got = integrate(fn, region, _RAGGED, 4)
+    assert 0 in region.hits and max(region.hits) > 0
+    assert min(called) > 0
+    assert len(called) == sum(h > 0 for h in region.hits)
+    assert _raw(got) == _raw(want) and got.value > 0.0
+
+
+@pytest.mark.parametrize("name", ["box", "ball", "pmean_grid"])
+def test_region_batch_allocates_no_batch_sized_point_array(name):
+    # a whole batch's (65,536, 2) points alone take 1 MiB; drawing and
+    # evaluating in pieces keeps a warm batch's peak below 2 MiB, where the
+    # whole-batch loop peaked at 2.5, 3.4 and 2.0 MiB
+    f = random_laplace_one(0)
+    run = {"box": lambda: integrate(f, SQUARE, quadrature.BATCH_SIZE),
+           "ball": lambda: integrate(f, EuclideanBall((0.5, 0.5), 0.4),
+                                     quadrature.BATCH_SIZE),
+           "pmean_grid": lambda: pmean_grid(f, SQUARE, [-0.5, 0.0, 0.5],
+                                            quadrature.BATCH_SIZE)}[name]
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20

@@ -4,6 +4,7 @@ Usage:
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W
         [--pairs N] [--seeds 0,1,...] [--declared-output-change]
+        [--aa PARENT2_DIR]
 
 Pair i runs ``bench/run.py --workload W --seed S --seconds T --trace 0``
 from each checkout, the parent first when i is even and the change first
@@ -28,6 +29,12 @@ metric whose change median is worse than the parent median by more than
 the metric's ``bound`` in the parent's BENCHMARK.json, as a fraction of
 the parent median.  The summary also
 lists the seeds and every run that reported ``correct: false``.
+
+With --aa, PARENT2_DIR is a second checkout of the parent.  After each
+pair, an A/A pair runs PARENT_DIR against PARENT2_DIR at the same seed and
+in the same order, and a second summary, of the same form, follows the
+first.  It shows what the same comparison reads when nothing changed: a
+gain or a regression the A/A set shows as well is this host's noise.
 """
 
 from __future__ import annotations
@@ -127,41 +134,13 @@ def _fmt(q) -> str:
     return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent", type=Path)
-    ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seeds", default=None,
-                    help="comma-separated seeds (default 0 to pairs - 1)")
-    ap.add_argument("--declared-output-change", action="store_true",
-                    help="list digest differences as DIGEST: lines "
-                         "instead of voiding the gain")
-    args = ap.parse_args(argv)
-    spec = json.loads((args.parent / "BENCHMARK.json").read_text())
-    seconds = spec["run_seconds"]
-    seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
-             else list(range(args.pairs)))
-    used = [seeds[i % len(seeds)] for i in range(args.pairs)]
-
-    runs = {"parent": [], "change": []}
-    for i, seed in enumerate(used):
-        order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
-        for side in order:
-            tree = args.parent if side == "parent" else args.change
-            run = run_bench(tree, args.workload, seed, seconds)
-            runs[side].append(run)
-            vals = " ".join(f"{k} {v:.4g}" for k, v in run["metrics"].items())
-            print(f"pair {i} seed {seed} {side}: {vals} "
-                  f"correct {run['correct']} failed {run['failed']} "
-                  f"digest {run['digest'][:8]}",
-                  flush=True)
-
-    print(f"\n{args.workload}: {args.pairs} pairs, {seconds:g} s runs, "
+def report(title: str, runs: dict, spec: dict, used: list[int],
+           declared_output_change: bool = False) -> None:
+    """Print the summary of one set of pairs: runs maps "parent" and
+    "change" to their run_bench results, paired by index."""
+    print(f"\n{title}: {len(used)} pairs, {spec['run_seconds']:g} s runs, "
           f"seeds {','.join(map(str, used))}; parent first on even pairs")
-    void = voids(runs["parent"], runs["change"],
-                 args.declared_output_change)
+    void = voids(runs["parent"], runs["change"], declared_output_change)
     worse = []
     print("metric  parent median [quartiles]  change median [quartiles]  "
           "change  wins  gain")
@@ -181,13 +160,58 @@ def main(argv=None) -> int:
         print(f"REGRESSED: {line}")
     for line in void:
         print(f"VOID: {line}")
-    if args.declared_output_change:
+    if declared_output_change:
         for line in digest_changes(runs["parent"], runs["change"]).values():
             print(f"DIGEST: {line}")
     for side, side_runs in runs.items():
         for i, r in enumerate(side_runs):
             if not r["correct"]:
                 print(f"NOT CORRECT: {side} run of pair {i} (seed {used[i]})")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seeds", default=None,
+                    help="comma-separated seeds (default 0 to pairs - 1)")
+    ap.add_argument("--declared-output-change", action="store_true",
+                    help="list digest differences as DIGEST: lines "
+                         "instead of voiding the gain")
+    ap.add_argument("--aa", type=Path, metavar="PARENT2",
+                    help="a second checkout of the parent: after each pair, "
+                         "run an A/A pair of PARENT against PARENT2")
+    args = ap.parse_args(argv)
+    spec = json.loads((args.parent / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
+             else list(range(args.pairs)))
+    used = [seeds[i % len(seeds)] for i in range(args.pairs)]
+
+    sets = {"": (args.parent, args.change)}
+    if args.aa:
+        sets["A/A "] = (args.parent, args.aa)
+    runs = {label: {"parent": [], "change": []} for label in sets}
+    for i, seed in enumerate(used):
+        order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+        for label, trees in sets.items():
+            for side in order:
+                tree = trees[0] if side == "parent" else trees[1]
+                run = run_bench(tree, args.workload, seed, seconds)
+                runs[label][side].append(run)
+                vals = " ".join(f"{k} {v:.4g}"
+                                for k, v in run["metrics"].items())
+                print(f"{label}pair {i} seed {seed} {side}: {vals} "
+                      f"correct {run['correct']} failed {run['failed']} "
+                      f"digest {run['digest'][:8]}",
+                      flush=True)
+
+    report(args.workload, runs[""], spec, used, args.declared_output_change)
+    if args.aa:
+        report(f"A/A {args.workload} (change side: {args.aa})", runs["A/A "],
+               spec, used)
     return 0
 
 
