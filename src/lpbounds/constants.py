@@ -28,7 +28,7 @@ from .geometry import (
     _lattice,
 )
 from .fields import bump_function
-from .quadrature import integrate
+from .quadrature import _tanh_sinh, integrate
 from .averages import SMAX, heatball_unit_volume, pmvi_constant
 
 __all__ = [
@@ -84,18 +84,11 @@ def heatball_unit_volume_exact(n: int) -> float:
 
 
 def heatball_unit_volume_quad(n: int) -> float:
-    """|E(1)| by adaptive 1-D quadrature of the slice volumes (cross-check)."""
-    from scipy.integrate import quad
-
+    """|E(1)| by the tanh-sinh rule on the slice volumes (cross-check)."""
     vn = unit_ball_volume(n)
-
-    def slice_vol(s: float) -> float:
-        if s <= 0.0 or s >= SMAX:
-            return 0.0
-        return vn * (2.0 * n * s * math.log(1.0 / (4.0 * math.pi * s))) ** (n / 2.0)
-
-    val, _ = quad(slice_vol, 0.0, SMAX, limit=200)
-    return val
+    return _tanh_sinh(
+        lambda s: vn * (2.0 * n * s * np.log(1.0 / (4.0 * math.pi * s)))
+        ** (n / 2.0), 0.0, SMAX)
 
 
 def k_heat_value(n: int) -> float:
@@ -247,11 +240,9 @@ def adjoint_constant(D, domain: Box, center, radius: float,
     if not inside:
         raise ValueError("bump support escapes the domain")
 
-    from scipy.integrate import quad
-
     surface = d * unit_ball_volume(d)
-    prof, _ = quad(lambda t: math.exp(-1.0 / (1.0 - t * t)) * t ** (d - 1),
-                   0.0, 1.0, limit=200)
+    prof = _tanh_sinh(lambda t: np.exp(-1.0 / (1.0 - t * t)) * t ** (d - 1),
+                      0.0, 1.0)
     num_closed = radius**d * surface * prof
 
     ball = EuclideanBall(tuple(center), radius)

@@ -411,3 +411,27 @@ def box_gauss(f, box) -> QuadResult:
     coarse = tensor(8)
     return QuadResult(value=v, std_error=0.0, samples=16 ** box.dim,
                       method="product-gauss", refine_diff=abs(v - coarse))
+
+
+def _tanh_sinh(fn, lo: float, hi: float) -> float:
+    """Integral of fn over [lo, hi] by the double-exponential (tanh-sinh)
+    rule of Takahasi and Mori (Publ. RIMS 9, 1974).
+
+    fn maps an array of abscissae to an array of values.  The rule
+    substitutes x = lo + (hi - lo) / (1 + exp(-2u)), u = (pi/2) sinh(t),
+    and sums the trapezoid rule in t with step 1/16 over |t| <= 3: 97
+    nodes, none of which rounds onto an endpoint, so fn may be singular
+    there.  Its weights decay doubly exponentially, so an integrand that is
+    analytic inside the interval is integrated to about 1e-15, and the
+    truncation at |t| = 3 drops less than 1e-13 (hi - lo) max |fn|.
+    ValueError if fn is NaN or infinite at a node: such an integrand fails
+    closed.
+    """
+    t = np.arange(-48, 49) / 16.0
+    e = np.exp(-math.pi * np.sinh(t))  # exp(-2u)
+    vals = np.asarray(fn(lo + (hi - lo) / (1.0 + e)), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("integrand is NaN or infinite at a tanh-sinh node")
+    # dx/dt = (hi - lo) pi cosh(t) e / (1 + e)^2
+    weights = (hi - lo) / 16.0 * math.pi * np.cosh(t) * e / (1.0 + e) ** 2
+    return math.fsum(weights * vals)

@@ -303,11 +303,15 @@ def _suite_claims(cfg, seed):
 
 def _i_psi(n: int) -> float:
     """int_{E(1)} log Phi_n dy ds, by the exact slice formula."""
-    from scipy.special import gamma
-
     a = n / 2.0
+    # Gamma(a + 2) = (a + 1) a ... down to Gamma(1) = 1 or to
+    # Gamma(1/2) = sqrt(pi); the product of halves is exact, so for odd n
+    # the value is rounded once (Gamma(5/2) = 0.75 sqrt(pi))
+    gamma = np.prod(np.arange(a + 1.0, 0.0, -1.0))
+    if n % 2:
+        gamma *= math.sqrt(math.pi)
     return (unit_ball_volume(n) * n / (n + 2) * (2.0 * n) ** (n / 2.0)
-            * SMAX ** (a + 1.0) * gamma(a + 2.0) / (a + 1.0) ** (a + 2.0))
+            * SMAX ** (a + 1.0) * gamma / (a + 1.0) ** (a + 2.0))
 
 
 def _suite_deriv_formulas(cfg, seed):
