@@ -238,3 +238,23 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_suites_and_constants_load_no_scipy(tmp_path):
+    # every numeric path runs on numpy and math alone: all ten suites and
+    # the constants table, in one fresh process, leave scipy unloaded
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = ("import sys\n"
+            "from lpbounds.cli import main\n"
+            "from lpbounds.verify import SUITE_NAMES, run_suite\n"
+            "for name in SUITE_NAMES:\n"
+            "    run_suite(name, {'budget': 2000})\n"
+            f"assert main(['constants', '--budget', '2000', '--out-dir', "
+            f"{str(tmp_path)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip().splitlines()[-1] == "[]"

@@ -53,6 +53,12 @@ def test_heatball_volume_exact_vs_quad():
                                                           rel=1e-14)
 
 
+def test_heatball_volume_quad_is_the_exact_form_to_rounding():
+    for n in (1, 2, 3):
+        ex = heatball_unit_volume_exact(n)
+        assert abs(heatball_unit_volume_quad(n) - ex) <= 1e-13 * ex
+
+
 def test_heatball_volume_monte_carlo():
     for n in (1, 2, 3):
         ex = heatball_unit_volume_exact(n)

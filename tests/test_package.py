@@ -18,6 +18,22 @@ def _public_functions(tree):
     return [name for name in exported if name in defined]
 
 
+def test_no_module_imports_scipy():
+    # numpy is the package's one dependency; scipy is not installed with it
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name == "scipy" or name.startswith("scipy.")]
+    assert found == []
+
+
 def test_every_public_function_has_a_caller_in_the_package():
     # a public name that only its own unit tests use should not be public;
     # each function must be named somewhere in src besides its def line

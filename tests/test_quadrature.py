@@ -648,3 +648,41 @@ def test_region_batch_allocates_no_batch_sized_point_array(name):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_tanh_sinh_matches_the_bump_profile_closed_form():
+    # int_0^1 t exp(-1/(1 - t^2)) dt = (e^{-1} - E_1(1)) / 2, the d = 2
+    # radial profile of the adjoint constant's bump, with
+    # E_1(1) = -gamma - sum_{k>=1} (-1)^k / (k k!) = 0.2193839343955203
+    euler_gamma = 0.5772156649015329
+    e1 = -euler_gamma - math.fsum((-1) ** k / (k * math.factorial(k))
+                                  for k in range(1, 30))
+    got = quadrature._tanh_sinh(lambda t: t * np.exp(-1.0 / (1.0 - t * t)),
+                                0.0, 1.0)
+    assert abs(got - (math.exp(-1.0) - e1) / 2.0) <= 1e-14
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_tanh_sinh_fails_closed_on_one_bad_node(bad):
+    def one_bad(x):
+        out = np.ones_like(x)
+        out[40] = bad
+        return out
+
+    assert quadrature._tanh_sinh(np.ones_like, 0.0, 2.0) == pytest.approx(
+        2.0, rel=1e-13)
+    with pytest.raises(ValueError, match="tanh-sinh node"):
+        quadrature._tanh_sinh(one_bad, 0.0, 2.0)
+
+
+def test_tanh_sinh_never_evaluates_an_endpoint():
+    seen = []
+
+    def record(x):
+        seen.append(x.copy())
+        return np.ones_like(x)
+
+    quadrature._tanh_sinh(record, 0.25, 0.75)
+    (x,) = seen
+    assert len(x) == 97 and np.all(np.diff(x) > 0.0)
+    assert x[0] > 0.25 and x[-1] < 0.75

@@ -311,6 +311,41 @@ def test_value_only_callers_run_no_bracket_search(monkeypatch):
     assert calls == []
 
 
+def test_only_adjoint_reports_integrate_the_bump(monkeypatch):
+    # prop-general/adjoint-constant, constants/adjoint-scaling and
+    # ce/steinerberger-product read only c, so they call
+    # adjoint_constant_value; of these suites only constants/adjoint-laplace
+    # runs the report's Monte Carlo numerator
+    calls = []
+    real = constants.integrate
+
+    def counted(f, region, **kwargs):
+        calls.append(region)
+        return real(f, region, **kwargs)
+
+    monkeypatch.setattr(constants, "integrate", counted)
+    for name in ("prop-general", "constants-audit", "counterexamples"):
+        run_suite(name, {"budget": 2000, "trials": 20, "samples": 64})
+    assert len(calls) == 1
+
+
+def test_heatball_volume_check_fails_on_a_wrong_quadrature(monkeypatch):
+    # the closed form of |E(1)| must agree with the tanh-sinh route to
+    # 1e-9, so a route off by 1e-8 fails the statement
+    sid = "constants/heatball-volume[n=1]"
+    assert _small_check("constants-audit", sid).passed
+    real = verify.heatball_unit_volume_quad
+    monkeypatch.setattr(verify, "heatball_unit_volume_quad",
+                        lambda n: real(n) * (1.0 + 1e-8))
+    assert not _small_check("constants-audit", sid).passed
+
+
+def test_i_psi_keeps_its_bits():
+    # Gamma(5/2) = 0.75 sqrt(pi) rounded once; math.gamma(2.5) is one ulp
+    # higher and would move the deriv/heatball-neg-time-* margins
+    assert verify._i_psi(1).hex() == "0x1.4e8df66fd356ep-7"
+
+
 def test_pmeans_suite_passes():
     res = run_suite("pmeans", {"budget": 30_000})
     assert res.overall, [c.statement for c in res.checks if not c.passed]
