@@ -264,7 +264,8 @@ def adjoint_constant_value(D, domain: Box, center, radius: float,
                            budget: int = 100_000, seed: int = 0) -> float:
     """L^1 testing constant c = ||phi||_1 / ||D* phi||_inf for the bump phi
     of the given center and radius, in the domain (see _adjoint_parts).
-    adjoint_constant cross-checks it."""
+    A sampled sup can only undershoot, so c is an estimate, not a
+    certified bound.  adjoint_constant cross-checks its numerator."""
     _, _, num, den = _adjoint_parts(D, domain, center, radius, budget, seed)
     return num / den
 
@@ -281,10 +282,9 @@ def adjoint_constant(D, domain: Box, center, budget: int = 100_000,
     return ConstantReport(
         name=f"adjoint[{D.name}]", closed_form=num_closed / den,
         cross_check=num_mc / den,
-        inputs={"operator": D.name, "order": D.order,
-                "center": tuple(center), "radius": radius,
-                "numerator_closed": num_closed, "numerator_mc": num_mc,
-                "sup_adjoint": den})
+        inputs={"operator": D.name, "order": D.order, "center": tuple(center),
+                "radius": radius, "numerator_closed": num_closed,
+                "numerator_mc": num_mc, "sup_adjoint": den})
 
 
 def _cp_report(name: str, p: float, kn: float, R1: float, R2: float,
