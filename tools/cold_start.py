@@ -1,7 +1,6 @@
 """Time every lpbounds CLI command from a cold start, one fresh process a run.
 
 Usage: python3 tools/cold_start.py OUT_JSON [--checkout LABEL=DIR]...
-           [--reps N] [--scales 1,10] [--commands NAME,...] [--budget N]
 
 Each run is ``python -m lpbounds.cli COMMAND --out-dir TMP`` in a new
 process with PYTHONPATH set to the checkout's ``src``, so its time includes
@@ -9,11 +8,12 @@ the interpreter's start, every import and the command's own work: what a
 user waits for, and what ``bench/run.py``, which times warm passes in one
 process, cannot see.  The commands are constants, deriv-check, mvi-check,
 counterexample and pmeans at their defaults, and ``suite NAME`` for every
-suite.  Scale 1 runs each at its default budget; scale k passes k times
-that budget (mvi-check's default kind reads --trials, not --budget, so
-its trials are scaled instead).  --budget replaces each default before
-scaling.  The defaults and suite names come from the package beside this
-script.
+suite, each REPS times at every scale in SCALES.  Scale 1 runs each at its
+default budget; scale k passes k times that budget (mvi-check's default
+kind reads --trials, not --budget, so its trials are scaled instead).  The
+defaults and suite names come from the package beside this script.  A run
+that exits non-zero stops the tool with exit status 1 and no record: its
+time would be that of a crash or a usage error, not of the command.
 
 Each run's wall time is taken around the child's start and its reaping by
 os.wait4, whose resource usage gives the child's peak resident set
@@ -21,8 +21,9 @@ os.wait4, whose resource usage gives the child's peak resident set
 within each repetition, in an order rotated each repetition, so slow
 phases of the host fall on both sides.  OUT_JSON records every run and,
 per checkout, command and scale, the median wall time and peak RSS,
-beside each checkout's HEAD commit; a table of the medians is printed.  With no --checkout, the checkout
-holding this script is measured, labelled "tree".
+beside each checkout's HEAD commit; a table of the medians is printed.
+With no --checkout, the checkout holding this script is measured, labelled
+"tree".
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+REPS = 5
+SCALES = (1, 10)
 
 
 def default_sizes() -> dict[str, tuple[str, int]]:
@@ -83,47 +86,38 @@ def main(argv: list[str]) -> int:
     ap.add_argument("out")
     ap.add_argument("--checkout", action="append", default=[],
                     metavar="LABEL=DIR")
-    ap.add_argument("--reps", type=int, default=5)
-    ap.add_argument("--scales", default="1,10")
-    ap.add_argument("--commands", default=None,
-                    help="comma-separated command lines, e.g. "
-                         "'constants,suite lp-thm'; default all")
-    ap.add_argument("--budget", type=int, default=None)
     args = ap.parse_args(argv)
 
     checkouts = dict(item.split("=", 1) for item in args.checkout)
     if not checkouts:
         checkouts = {"tree": ROOT}
-    scales = [int(s) for s in args.scales.split(",")]
     sizes = default_sizes()
-    names = args.commands.split(",") if args.commands else list(sizes)
-    unknown = set(names) - set(sizes)
-    if unknown or args.reps < 1:
-        ap.error(f"unknown commands {sorted(unknown)}" if unknown
-                 else "--reps must be at least 1")
 
     labels = list(checkouts)
     runs = []
-    for rep in range(args.reps):
+    for rep in range(REPS):
         order = labels[rep % len(labels):] + labels[:rep % len(labels)]
-        for name in names:
-            key, size = sizes[name]
-            for scale in scales:
-                size_k = (args.budget or size) * scale
+        for name, (key, size) in sizes.items():
+            for scale in SCALES:
+                size_k = size * scale
                 cmd = [*name.split(), f"--{key}", str(size_k)]
                 for label in order:
                     wall, rss, code = run_once(checkouts[label], cmd)
+                    if code != 0:
+                        print(f"{label}: `lpbounds {' '.join(cmd)}` exited "
+                              f"{code}; no record written", file=sys.stderr)
+                        return 1
                     runs.append({"checkout": label, "command": name,
                                  "scale": scale, key: size_k, "rep": rep,
                                  "wall_s": wall, "max_rss_mb": rss,
                                  "exit_code": code})
                     print(f"rep {rep} {label} {name} x{scale}: "
-                          f"{wall:.3f} s, {rss:.1f} MB, exit {code}",
+                          f"{wall:.3f} s, {rss:.1f} MB",
                           flush=True)
 
     medians = []
-    for name in names:
-        for scale in scales:
+    for name in sizes:
+        for scale in SCALES:
             row = {"command": name, "scale": scale}
             for label in labels:
                 mine = [r for r in runs if r["checkout"] == label
@@ -139,7 +133,7 @@ def main(argv: list[str]) -> int:
                        "machine": platform.machine()},
               "commits": {label: commit(path)
                           for label, path in checkouts.items()},
-              "reps": args.reps, "scales": scales,
+              "reps": REPS, "scales": list(SCALES),
               "medians": medians, "runs": runs}
     with open(args.out, "w") as fh:
         fh.write(json.dumps(record, indent=1) + "\n")
